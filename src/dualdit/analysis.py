@@ -2,7 +2,7 @@
 
 Conventions: one multiply-add counts as two FLOPs. The FLOPs model covers
 matmuls (linear layers) and the attention score/value contractions; norms,
-activations, softmax and the AdaLN elementwise work are excluded, matching
+activations, softmax and the AdaLN pointwise work are excluded, matching
 the usual bookkeeping behind published per-forward GFLOPs numbers.
 """
 

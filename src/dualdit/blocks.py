@@ -8,7 +8,7 @@ value has a stable checkpoint key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,9 +44,6 @@ class ParamStore:
         w = self.tensor(f"{name}.w", (d_in, d_out), init=init, std=std)
         b = self.tensor(f"{name}.b", (d_out,), init="zeros")
         return LinearParams(w=w, b=b)
-
-    def num_elements(self) -> int:
-        return sum(t.size for t in self.params.values())
 
 
 @dataclass

@@ -23,6 +23,20 @@ from .samplers import SamplerConfig, sample
 from .verification import run_suite
 
 
+def _pair(sep: str, kind):
+    """argparse ``type=`` for two ``kind`` values joined by ``sep``, e.g. ``16x16``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            a, b = text.lower().split(sep)
+            return kind(a), kind(b)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected two {kind.__name__} values joined by {sep!r}, got {text!r}") from None
+
+    return parse
+
+
 def _model_config_from_args(args) -> ModelConfig:
     if args.preset:
         return PRESETS[args.preset]
@@ -51,9 +65,8 @@ def cmd_train(args) -> int:
 
 def cmd_sample(args) -> int:
     model = TR.load_model(args.checkpoint, use_ema=not args.raw_params)
-    interval = tuple(float(v) for v in args.interval.split(","))
     cfg = SamplerConfig(solver=args.solver, steps=args.steps, cfg_scale=args.cfg,
-                        cfg_interval=interval, shift_alpha=args.shift, seed=args.seed)
+                        cfg_interval=args.interval, shift_alpha=args.shift, seed=args.seed)
     y = np.full(args.count, args.class_id, dtype=np.int64)
     images = sample(model, cfg, y)
     os.makedirs(args.out, exist_ok=True)
@@ -97,11 +110,7 @@ def cmd_params(args) -> int:
 
 def cmd_flops(args) -> int:
     cfg = _model_config_from_args(args)
-    resolution = None
-    if args.resolution:
-        h, w = (int(v) for v in args.resolution.lower().split("x"))
-        resolution = (h, w)
-    report = A.estimate_flops(cfg, resolution)
+    report = A.estimate_flops(cfg, args.resolution)
     print("module,flops")
     for name, val in report.flops_by_module.items():
         print(f"{name},{val}")
@@ -170,7 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--cfg", type=float, default=1.0)
-    p.add_argument("--interval", default="0.0,1.0")
+    p.add_argument("--interval", type=_pair(",", float), default=(0.0, 1.0), metavar="LO,HI",
+                   help="guidance interval in t")
     p.add_argument("--shift", type=float, default=1.0)
     p.add_argument("--solver", default="flow_dpm", choices=["euler", "heun", "flow_dpm"])
     p.add_argument("--seed", type=int, default=0)
@@ -188,7 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--preset", choices=sorted(PRESETS))
         source.add_argument("--config")
         if name == "flops":
-            p.add_argument("--resolution", help="HxW, defaults to the config resolution")
+            p.add_argument("--resolution", type=_pair("x", int), metavar="HxW",
+                           help="defaults to the config resolution")
         p.set_defaults(fn=fn)
 
     p = sub.add_parser("ablate", help="train variant rows and emit a comparison CSV")

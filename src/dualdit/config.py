@@ -9,8 +9,9 @@ Grammar (documented for the CLI):
     value     := int | float | bool | string | pair (e.g. 16,16 or 0.1,1.0)
 
 Sections: model, train, sampler, dataset, paths, ablate. Unknown keys are
-rejected with the offending key named (typo safety). Every CLI flag overrides
-its config key after parsing.
+rejected with the offending key named (typo safety). ``apply_overrides``
+applies ``section.key=value`` strings (``dualdit train --set``) after parsing,
+under the same key checks.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .trainer import TrainConfig
 class Paths:
     checkpoint_dir: str = "runs/checkpoints"
     metrics: str = "runs/metrics.csv"
-    out_dir: str = "runs/out"
 
 
 @dataclass
@@ -71,9 +71,6 @@ _SECTIONS = {
     "dataset": ToyDatasetSpec, "paths": Paths, "ablate": AblateSpec,
 }
 
-# pseudo-keys handled outside the dataclass fields
-_SPECIAL = {"model.preset"}
-
 
 def _coerce(raw: str, annotation: Any):
     raw = raw.strip()
@@ -101,6 +98,20 @@ def _coerce_scalar(raw: str):
     return raw
 
 
+def _assign(values: dict[str, dict[str, Any]], key: str, raw: str, where: str):
+    """Validate ``section.field`` against the dataclasses and store its coerced value."""
+    section, dot, name = key.partition(".")
+    if not dot:
+        raise ConfigError(f"{where}: key {key!r} is missing its section prefix")
+    cls = _SECTIONS.get(section)
+    if cls is None:
+        raise ConfigError(f"{where}: unknown section {section!r} in key {key!r}")
+    known = {f.name: f for f in dc_fields(cls)}
+    if name not in known:
+        raise ConfigError(f"{where}: unknown key {key!r}")
+    values[section][name] = _coerce(raw, known[name].type)
+
+
 def parse_config_text(text: str) -> RunConfig:
     """Parse the dotted-key format into a validated RunConfig."""
     values: dict[str, dict[str, Any]] = {name: {} for name in _SECTIONS}
@@ -113,19 +124,10 @@ def parse_config_text(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected 'section.key = value', got {line!r}")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key in _SPECIAL:
+        if key == "model.preset":  # a pseudo-key: the base the model fields apply to
             preset = raw.strip()
-            continue
-        if "." not in key:
-            raise ConfigError(f"line {lineno}: key {key!r} is missing its section prefix")
-        section, _, name = key.partition(".")
-        cls = _SECTIONS.get(section)
-        if cls is None:
-            raise ConfigError(f"line {lineno}: unknown section {section!r} in key {key!r}")
-        known = {f.name: f for f in dc_fields(cls)}
-        if name not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[section][name] = _coerce(raw, known[name].type)
+        else:
+            _assign(values, key, raw, f"line {lineno}")
 
     if preset is not None:
         if preset not in PRESETS:
@@ -133,9 +135,6 @@ def parse_config_text(text: str) -> RunConfig:
         model = replace(PRESETS[preset], **values["model"])
     else:
         model = ModelConfig(**values["model"])
-    if "variants" in values["ablate"]:
-        v = values["ablate"]["variants"]
-        values["ablate"]["variants"] = v if isinstance(v, tuple) else (v,)
     return RunConfig(
         model=model,
         train=TrainConfig(**values["train"]),
@@ -153,23 +152,12 @@ def load_config(path) -> RunConfig:
 
 def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     """Apply `section.key=value` strings (CLI flags) on top of a parsed config."""
-    sections = {
-        "model": dict, "train": dict, "sampler": dict,
-        "dataset": dict, "paths": dict, "ablate": dict,
-    }
-    updates: dict[str, dict[str, Any]] = {k: {} for k in sections}
+    updates: dict[str, dict[str, Any]] = {name: {} for name in _SECTIONS}
     for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"override {ov!r} must look like section.key=value")
         key, _, raw = ov.partition("=")
-        section, _, name = key.strip().partition(".")
-        cls = _SECTIONS.get(section)
-        if cls is None or not name:
-            raise ConfigError(f"unknown override key {key!r}")
-        known = {f.name: f for f in dc_fields(cls)}
-        if name not in known:
-            raise ConfigError(f"unknown override key {key!r}")
-        updates[section][name] = _coerce(raw, known[name].type)
+        _assign(updates, key.strip(), raw, "override")
     new = cfg
     for section, kw in updates.items():
         if kw:

@@ -16,6 +16,7 @@ import numpy as np
 from . import blocks as B
 from . import tensor as T
 from .errors import NumericError
+from .model import patchify
 from .tensor import Tensor
 
 
@@ -34,13 +35,6 @@ def logit_normal_sampler(mean: float = 0.0, std: float = 1.0) -> Callable:
     def sample(rng: np.random.Generator, n: int) -> np.ndarray:
         z = rng.normal(loc=mean, scale=std, size=n)
         return 1.0 / (1.0 + np.exp(-z))
-
-    return sample
-
-
-def uniform_sampler() -> Callable:
-    def sample(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=n)
 
     return sample
 
@@ -67,9 +61,13 @@ def make_flow_batch(x0: np.ndarray, rng: np.random.Generator,
 
 def loss_diffusion(model, batch: FlowBatch, y: np.ndarray,
                    drop_rng: Optional[np.random.Generator] = None,
-                   drop_prob: float = 0.0) -> Tensor:
-    """Velocity-matching loss: mean squared error over all elements."""
-    v = model.forward(batch.x_t, batch.t, y, drop_rng=drop_rng, drop_prob=drop_prob)
+                   drop_prob: float = 0.0, patch_outs: Optional[list] = None) -> Tensor:
+    """Velocity-matching loss: mean squared error over all elements.
+
+    ``patch_outs`` is handed to ``model.forward`` to collect the patch tokens.
+    """
+    v = model.forward(batch.x_t, batch.t, y, drop_rng=drop_rng, drop_prob=drop_prob,
+                      patch_outs=patch_outs)
     err = v - Tensor(batch.v_t.astype(np.asarray(v.data).dtype))
     loss = (err * err).mean()
     if not np.isfinite(loss.data):
@@ -145,12 +143,7 @@ class ToyAlignmentEncoder:
 
     def evaluate(self, images: np.ndarray) -> np.ndarray:
         """(B, C, H, W) clean images -> (B, L, F) per-patch features."""
-        x = np.asarray(images, dtype=np.float64)
-        Bsz, C, H, W = x.shape
-        p = self.patch_size
-        gh, gw = H // p, W // p
-        tok = x.reshape(Bsz, C, gh, p, gw, p).transpose(0, 2, 4, 3, 5, 1)
-        tok = tok.reshape(Bsz, gh * gw, p * p * C)
+        tok = patchify(Tensor(np.asarray(images, dtype=np.float64)), self.patch_size).data
         feats = tok @ self.weight
         mu = feats.mean(axis=-1, keepdims=True)
         sd = feats.std(axis=-1, keepdims=True) + 1e-8

@@ -10,7 +10,7 @@ afterwards, so attention always runs over k*(H/p)*(W/p) tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -129,23 +129,6 @@ def unpatchify(tokens: Tensor, patch: int, grid: tuple[int, int], channels: int)
     return x.reshape(Bsz, channels, gh * patch, gw * patch)
 
 
-def pixel_tokens(x: Tensor, patch: int) -> Tensor:
-    """(B, C, H, W) -> (B*L, p*p, C): one token per pixel, grouped by patch."""
-    Bsz, C, H, W = x.shape
-    gh, gw = H // patch, W // patch
-    x = x.reshape(Bsz, C, gh, patch, gw, patch)
-    x = x.transpose(0, 2, 4, 3, 5, 1)
-    return x.reshape(Bsz * gh * gw, patch * patch, C)
-
-
-def unpixel_tokens(tokens: Tensor, patch: int, grid: tuple[int, int], channels: int,
-                   batch: int) -> Tensor:
-    gh, gw = grid
-    x = tokens.reshape(batch, gh, gw, patch, patch, channels)
-    x = x.transpose(0, 5, 1, 3, 2, 4)
-    return x.reshape(batch, channels, gh * patch, gw * patch)
-
-
 def sinusoidal_features(t: np.ndarray, dim: int, base: float = 10000.0,
                         time_scale: float = 1000.0) -> np.ndarray:
     """Standard sin/cos featurization of timesteps in [0, 1].
@@ -208,7 +191,7 @@ class DualLevelModel:
             for i in range(cfg.pixel_depth):
                 blk = PitBlockParams(
                     mod=store.linear(f"pit.{i}.mod", D, mod_width, init="zeros"),
-                    mlp=make_pixel_mlp(store, f"pit.{i}.mlp", Dp),
+                    mlp=B.make_mlp_params(store, f"pit.{i}.mlp", Dp, hidden_ratio=4.0),
                 )
                 B.init_modulation_head(blk.mod, Dp)
                 if has_attn:
@@ -267,18 +250,13 @@ class DualLevelModel:
 
     # -- pathways ----------------------------------------------------------
 
-    def patch_pathway(self, s: Tensor, c: Tensor) -> Tensor:
+    def patch_pathway(self, s: Tensor, c: Tensor, outs: Optional[list] = None) -> Tensor:
+        """Run the patch blocks; with ``outs`` given, append each block's output to it."""
         for blk in self.patch_blocks:
             s = B.dit_block(s, c, blk, self.patch_attn_cfg)
+            if outs is not None:
+                outs.append(s)
         return s
-
-    def _patch_pathway_tapped(self, s: Tensor, c: Tensor, tap: Optional[int]):
-        s_tap = None
-        for i, blk in enumerate(self.patch_blocks):
-            s = B.dit_block(s, c, blk, self.patch_attn_cfg)
-            if tap is not None and i + 1 == tap:
-                s_tap = s
-        return s, s_tap
 
     def pixel_adaln_params(self, cond_flat: Tensor, blk: PitBlockParams) -> B.ModulationParams:
         """Map conditioning rows through the block's head into the six groups.
@@ -315,15 +293,11 @@ class DualLevelModel:
     # -- full forward ------------------------------------------------------
 
     def forward(self, x, t, y, drop_rng=None, drop_prob: float = 0.0,
-                diag: Optional[dict] = None) -> Tensor:
-        """Velocity prediction; output shape equals input shape."""
-        v, _ = self.forward_with_tap(x, t, y, tap=None, drop_rng=drop_rng,
-                                     drop_prob=drop_prob, diag=diag)
-        return v
+                diag: Optional[dict] = None, patch_outs: Optional[list] = None) -> Tensor:
+        """Velocity prediction; output shape equals input shape.
 
-    def forward_with_tap(self, x, t, y, tap: Optional[int] = None, drop_rng=None,
-                         drop_prob: float = 0.0, diag: Optional[dict] = None):
-        """Forward pass that optionally also returns the patch tokens after block ``tap``."""
+        ``patch_outs``, when given, collects the patch tokens after each patch block.
+        """
         cfg = self.config
         if not isinstance(x, Tensor):
             x = Tensor(np.asarray(x, dtype=self.dtype))
@@ -332,34 +306,34 @@ class DualLevelModel:
             raise ShapeError(
                 f"input {tuple(x.shape)} does not match config {cfg.channels}x{cfg.resolution}"
             )
+        p, L = cfg.patch_size, cfg.num_patches
         c, t_emb = self.embed_condition(t, y, drop_rng, drop_prob)
-        s = B.linear(patchify(x, cfg.patch_size), self.patch_embed)
-        s, s_tap = self._patch_pathway_tapped(s, c, tap)
+        tokens = patchify(x, p)
+        s = B.linear(tokens, self.patch_embed)
+        s = self.patch_pathway(s, c, patch_outs)
 
         if cfg.variant == "vanilla_dit":
             out = B.linear(s, self.patch_head)
-            return unpatchify(out, cfg.patch_size, cfg.grid, C), s_tap
+            return unpatchify(out, p, cfg.grid, C)
 
         s_cond = s + (c if cfg.cond_uses_class else t_emb)
-        cond_flat = s_cond.reshape(Bsz * cfg.num_patches, cfg.patch_dim)
+        cond_flat = s_cond.reshape(Bsz * L, cfg.patch_dim)
         if cfg.variant == "A_global":
             # global variant conditions every pixel on c alone; broadcast over patches
-            ones = Tensor(np.ones((Bsz, cfg.num_patches, 1), dtype=self.dtype))
-            cond_flat = (c * ones).reshape(Bsz * cfg.num_patches, cfg.patch_dim)
+            ones = Tensor(np.ones((Bsz, L, 1), dtype=self.dtype))
+            cond_flat = (c * ones).reshape(Bsz * L, cfg.patch_dim)
 
-        X = B.linear(pixel_tokens(x, cfg.patch_size), self.pixel_embed)
+        # pixel tokens are the patch tokens' (p, p, C) layout split per pixel
+        X = B.linear(tokens.reshape(Bsz * L, p * p, C), self.pixel_embed)
         for blk in self.pit_blocks:
             X = self.pit_block(X, cond_flat, blk, diag)
         out = B.linear(X, self.pixel_head)
-        return unpixel_tokens(out, cfg.patch_size, cfg.grid, C, Bsz), s_tap
+        return unpatchify(out.reshape(Bsz, L, p * p * C), p, cfg.grid, C)
 
     # -- parameter plumbing --------------------------------------------------
 
     def num_params(self) -> int:
         return sum(t.size for t in self.params.values())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.params.items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]):
         missing = set(self.params) - set(arrays)
@@ -373,19 +347,8 @@ class DualLevelModel:
             t.data[...] = arr
 
 
-def make_pixel_mlp(store: B.ParamStore, name: str, width: int) -> B.MlpParams:
-    return B.make_mlp_params(store, name, width, hidden_ratio=4.0)
-
-
 def config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "patch_depth": cfg.patch_depth, "pixel_depth": cfg.pixel_depth,
-        "patch_dim": cfg.patch_dim, "pixel_dim": cfg.pixel_dim, "heads": cfg.heads,
-        "patch_size": cfg.patch_size, "num_classes": cfg.num_classes,
-        "resolution": list(cfg.resolution), "channels": cfg.channels,
-        "variant": cfg.variant, "ptc_rate": cfg.ptc_rate,
-        "rope_pixel_pathway": cfg.rope_pixel_pathway, "cond_uses_class": cfg.cond_uses_class,
-    }
+    return asdict(cfg)
 
 
 def config_from_dict(d: dict) -> ModelConfig:

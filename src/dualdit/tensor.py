@@ -89,9 +89,6 @@ class Tensor:
             raise NumericError(f"{what} contains {bad} non-finite value(s)")
         return self
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
@@ -221,7 +218,7 @@ def _check_broadcastable(a: Tensor, b: Tensor, op: str):
 
 
 # ---------------------------------------------------------------------------
-# elementwise primitives
+# pointwise primitives
 # ---------------------------------------------------------------------------
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -309,26 +306,6 @@ def gelu_tanh(a: Tensor) -> Tensor:
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
 
     return _record(out, (a,), bw)
-
-
-_ELEMENTWISE = {
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "silu": silu,
-    "gelu_tanh": gelu_tanh,
-    "exp": texp,
-    "scale": scale,
-}
-
-
-def elementwise(op: str, *operands) -> Tensor:
-    """Dispatch table over the pointwise primitive family."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}; choose from {sorted(_ELEMENTWISE)}") from None
-    return fn(*operands)
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +566,3 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5) -> 
     rel = np.abs(analytic - fd) / (np.abs(fd) + GRAD_CHECK_ABS_EPS)
     return float(rel.max())
 
-
-def grad_check_many(f: Callable[[], Tensor], params: Sequence[Tensor], step: float = 1e-4) -> float:
-    """grad_check over several parameter tensors of a closure; returns the max."""
-    worst = 0.0
-    for p in params:
-        err = grad_check(lambda _t, fn=f: fn(), p, step=step)
-        worst = max(worst, err)
-    return worst

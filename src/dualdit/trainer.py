@@ -158,11 +158,6 @@ def save_checkpoint(path, model: DualLevelModel, state: TrainState):
     ckpt.save(path, header, arrays)
 
 
-def load_checkpoint(path):
-    """Returns (header, arrays); use restore_state / load_model to apply."""
-    return ckpt.load(path)
-
-
 def load_model(path, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
     header, arrays = ckpt.load(path)
     model = DualLevelModel(config_from_dict(header["model_config"]), dtype=dtype)
@@ -197,14 +192,13 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
     return state
 
 
+def _metrics_line(r: dict) -> str:
+    return (f"{r['step']},{r['loss']!r},{r['loss_diff']!r},{r['loss_repa']!r},"
+            f"{r['grad_norm']!r},{r['lr']!r}\n")
+
+
 def metrics_to_csv(rows: list[dict]) -> str:
-    lines = [METRICS_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['step']},{r['loss']!r},{r['loss_diff']!r},{r['loss_repa']!r},"
-            f"{r['grad_norm']!r},{r['lr']!r}"
-        )
-    return "\n".join(lines) + "\n"
+    return METRICS_HEADER + "\n" + "".join(_metrics_line(r) for r in rows)
 
 
 def train(model: DualLevelModel, dataset, cfg: TrainConfig,
@@ -274,21 +268,16 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
                 for t in state.params.values():
                     t.zero_grad()
                 with Tape() as tape:
+                    patch_outs = [] if use_align else None
+                    loss_diff = F.loss_diffusion(model, batch, y, drop_rng=state.rng,
+                                                 drop_prob=cfg.class_drop_prob,
+                                                 patch_outs=patch_outs)
+                    loss = loss_diff
                     if use_align:
-                        v, s_tap = model.forward_with_tap(
-                            batch.x_t, batch.t, y, tap=tap,
-                            drop_rng=state.rng, drop_prob=cfg.class_drop_prob)
-                        err = v - Tensor(batch.v_t.astype(model.dtype))
-                        loss_diff = (err * err).mean()
                         feats = encoder.evaluate(batch.x0).astype(model.dtype)
-                        loss_align = F.loss_alignment(s_tap, feats, projector)
+                        loss_align = F.loss_alignment(patch_outs[tap - 1], feats, projector)
                         loss = loss_diff + Tensor(np.asarray(cfg.align_weight, model.dtype)) * loss_align
                         row["loss_repa"] = float(loss_align.data)
-                    else:
-                        loss_diff = F.loss_diffusion(model, batch, y,
-                                                     drop_rng=state.rng,
-                                                     drop_prob=cfg.class_drop_prob)
-                        loss = loss_diff
                     row["loss_diff"] = float(loss_diff.data)
                     row["loss"] = float(loss.data)
                 if not np.isfinite(row["loss"]):
@@ -320,10 +309,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
 
             state.metrics.append(row)
             if metrics_file is not None:
-                metrics_file.write(
-                    f"{row['step']},{row['loss']!r},{row['loss_diff']!r},"
-                    f"{row['loss_repa']!r},{row['grad_norm']!r},{row['lr']!r}\n"
-                )
+                metrics_file.write(_metrics_line(row))
             state.step += 1
             if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
                     and state.step % cfg.checkpoint_every == 0:

@@ -181,6 +181,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="train.nope"):
             C.apply_overrides(cfg, ["train.nope=1"])
 
+    @pytest.mark.parametrize("override", ["optimzer.lr=1", "lr=1"])
+    def test_overrides_check_section(self, override):
+        # overrides go through the file parser's key checks: unknown or missing section
+        cfg = C.parse_config_text(CONFIG_TEXT)
+        key = override.partition("=")[0]
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            C.apply_overrides(cfg, [override])
+
 
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -218,6 +226,17 @@ class TestCli:
     @pytest.mark.parametrize("command", ["params", "flops"])
     def test_missing_model_source_exits_2(self, tmp_path, command):
         res = run_cli([command], tmp_path)
+        assert res.returncode == 2
+        assert "usage:" in res.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["flops", "--preset", "B", "--resolution", "256"],
+        ["sample", "--checkpoint", "missing.ckpt", "--class", "0", "--out", "o",
+         "--interval", "0.5"],
+    ])
+    def test_malformed_pair_exits_2(self, tmp_path, args):
+        # rejected while parsing, before any checkpoint is opened
+        res = run_cli(args, tmp_path)
         assert res.returncode == 2
         assert "usage:" in res.stderr
 

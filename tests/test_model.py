@@ -36,14 +36,6 @@ class TestPatchify:
         back = M.unpatchify(tok, 8, (4, 4), 3)
         np.testing.assert_array_equal(back.data, x)
 
-    def test_pixel_tokens_roundtrip(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(2, 3, 8, 8))
-        tok = M.pixel_tokens(Tensor(x), 2)
-        assert tok.shape == (2 * 16, 4, 3)
-        back = M.unpixel_tokens(tok, 2, (4, 4), 3, 2)
-        np.testing.assert_array_equal(back.data, x)
-
     def test_indivisible_raises(self):
         with pytest.raises(ShapeError):
             M.patchify(Tensor(np.zeros((1, 3, 9, 9))), 2)

@@ -56,10 +56,6 @@ class TestForwardOracles:
         out = T.softmax_lastdim(Tensor(x))
         np.testing.assert_allclose(out.data, expected, rtol=1e-14)
 
-    def test_elementwise_dispatch_unknown(self):
-        with pytest.raises(ValueError, match="unknown elementwise op"):
-            T.elementwise("nope", Tensor([1.0]))
-
 
 class TestGradChecks:
     def test_closed_form_quadratic(self):

@@ -149,6 +149,18 @@ class TestTrainLoop:
             assert m["loss_repa"] >= 0.0
             assert m["loss"] == pytest.approx(m["loss_diff"] + 0.5 * m["loss_repa"], rel=1e-5)
 
+    @pytest.mark.parametrize("align", [0.0, 0.5])
+    def test_skipped_step_row(self, align):
+        # a non-finite diffusion term skips the step before any alignment term is
+        # formed, so both objectives log the same placeholder row
+        model, dataset, cfg = tiny_setup(total_steps=2, align=align)
+        model.params["pixel_head.w"].data[...] = np.nan
+        state = TR.train(model, dataset, cfg)
+        assert state.skipped_steps == 2
+        for m in state.metrics:
+            assert np.isnan(m["loss"]) and np.isnan(m["loss_diff"])
+            assert (m["loss_repa"], m["grad_norm"]) == (0.0, 0.0)
+
     def test_abort_after_ten_bad_steps(self):
         model, dataset, cfg = tiny_setup(total_steps=30)
         model.params["pixel_head.w"].data[...] = np.nan
