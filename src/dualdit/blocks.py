@@ -7,7 +7,6 @@ value has a stable checkpoint key.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,7 +52,7 @@ class LinearParams:
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    return T.matmul(x, p.w) + p.b
+    return T.linear(x, p.w, p.b)
 
 
 @dataclass
@@ -104,13 +103,7 @@ def multi_head_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfi
     if cfg.rope_enabled:
         q = T.rope_2d(q, cfg.grid, positions=cfg.positions)
         k = T.rope_2d(k, cfg.grid, positions=cfg.positions)
-    q = q.transpose(0, 2, 1, 3)  # (B, h, T, hd)
-    k = k.transpose(0, 2, 1, 3)
-    v = v.transpose(0, 2, 1, 3)
-    scores = T.scale(T.matmul(q, k.transpose(0, 1, 3, 2)), 1.0 / math.sqrt(hd))
-    attn = T.softmax_lastdim(scores)
-    ctx = T.matmul(attn, v).transpose(0, 2, 1, 3).reshape(B, Tlen, D)
-    return linear(ctx, params.o)
+    return linear(T.attention(q, k, v).reshape(B, Tlen, D), params.o)
 
 
 @dataclass
@@ -160,11 +153,6 @@ def split_modulation(theta: Tensor, width: int) -> ModulationParams:
     return ModulationParams(**groups)
 
 
-def adaln_modulate(x_norm: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """gamma * x_norm + beta, with gamma/beta broadcast onto x_norm."""
-    return x_norm * gamma + beta
-
-
 @dataclass
 class DitBlockParams:
     attn: AttentionParams
@@ -211,7 +199,7 @@ def dit_block(s: Tensor, c: Tensor, params: DitBlockParams, cfg: AttentionConfig
     """
     D = s.shape[-1]
     mods = split_modulation(linear(T.silu(c), params.ada), D)
-    h = adaln_modulate(T.rms_norm(s), mods.gamma1, mods.beta1)
-    s = s + mods.alpha1 * multi_head_attention(h, params.attn, cfg)
-    h = adaln_modulate(T.rms_norm(s), mods.gamma2, mods.beta2)
-    return s + mods.alpha2 * mlp(h, params.mlp)
+    h = T.modulated_rms_norm(s, mods.gamma1, mods.beta1)
+    s = T.gated_residual(s, mods.alpha1, multi_head_attention(h, params.attn, cfg))
+    h = T.modulated_rms_norm(s, mods.gamma2, mods.beta2)
+    return T.gated_residual(s, mods.alpha2, mlp(h, params.mlp))

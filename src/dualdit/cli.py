@@ -18,6 +18,7 @@ from . import analysis as A
 from . import data as D
 from . import trainer as TR
 from .config import apply_overrides, load_config
+from .errors import ConfigError
 from .model import PRESETS, DualLevelModel, ModelConfig
 from .samplers import SamplerConfig, sample
 from .verification import run_suite
@@ -64,9 +65,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    try:
+        cfg = SamplerConfig(solver=args.solver, steps=args.steps, cfg_scale=args.cfg,
+                            cfg_interval=args.interval, shift_alpha=args.shift, seed=args.seed)
+    except ConfigError as e:
+        args.usage_error(str(e))  # exits 2 before any checkpoint is opened
     model = TR.load_model(args.checkpoint, use_ema=not args.raw_params)
-    cfg = SamplerConfig(solver=args.solver, steps=args.steps, cfg_scale=args.cfg,
-                        cfg_interval=args.interval, shift_alpha=args.shift, seed=args.seed)
     y = np.full(args.count, args.class_id, dtype=np.int64)
     images = sample(model, cfg, y)
     os.makedirs(args.out, exist_ok=True)
@@ -186,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--raw-params", action="store_true", help="use raw instead of EMA weights")
-    p.set_defaults(fn=cmd_sample)
+    p.set_defaults(fn=cmd_sample, usage_error=p.error)
 
     p = sub.add_parser("grad-check", help="finite-difference verification suite")
     p.add_argument("--quick", action="store_true", help="skip the end-to-end model sweep")

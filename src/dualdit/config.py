@@ -8,6 +8,9 @@ Grammar (documented for the CLI):
     assignment:= section '.' field '=' value      # e.g. train.lr = 1e-3
     value     := int | float | bool | string | pair (e.g. 16,16 or 0.1,1.0)
 
+A value is read as its field's type: a string field keeps its commas, a
+pair needs exactly two values, and an int field rejects 1.5.
+
 Sections: model, train, sampler, dataset, paths, ablate. Unknown keys are
 rejected with the offending key named (typo safety). ``apply_overrides``
 applies ``section.key=value`` strings (``dualdit train --set``) after parsing,
@@ -17,7 +20,7 @@ under the same key checks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields as dc_fields, replace
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 from .data import ToyDatasetSpec
 from .errors import ConfigError
@@ -72,44 +75,46 @@ _SECTIONS = {
 }
 
 
-def _coerce(raw: str, annotation: Any):
+def _coerce(raw: str, tp: Any):
+    """Parse ``raw`` as a value of the field type ``tp``; ValueError on a mismatch."""
     raw = raw.strip()
-    base = str(annotation)
-    if "," in raw or "tuple" in base:
+    origin, args = get_origin(tp), get_args(tp)
+    if origin is Union:  # Optional[X]
+        if raw.lower() in ("none", "null"):
+            return None
+        (tp,) = [a for a in args if a is not type(None)]
+        return _coerce(raw, tp)
+    if origin is tuple:
         parts = [p for p in (s.strip() for s in raw.split(",")) if p]
-        return tuple(_coerce_scalar(p) for p in parts)
-    return _coerce_scalar(raw)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(parts)
+        elif len(parts) != len(args):
+            raise ValueError(f"expected {len(args)} comma-separated values, got {len(parts)}")
+        return tuple(_coerce(p, a) for p, a in zip(parts, args))
+    if tp is bool:
+        if raw.lower() not in ("true", "false"):
+            raise ValueError(f"expected true or false, got {raw!r}")
+        return raw.lower() == "true"
+    return tp(raw)  # str keeps the text as is; int rejects '1.5'
 
 
-def _coerce_scalar(raw: str):
-    low = raw.lower()
-    if low in ("true", "false"):
-        return low == "true"
-    if low in ("none", "null"):
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        pass
-    try:
-        return float(raw)
-    except ValueError:
-        pass
-    return raw
+_FIELD_TYPES = {name: get_type_hints(cls) for name, cls in _SECTIONS.items()}
 
 
 def _assign(values: dict[str, dict[str, Any]], key: str, raw: str, where: str):
-    """Validate ``section.field`` against the dataclasses and store its coerced value."""
+    """Validate ``section.field`` against the dataclasses and store its value, typed by the field."""
     section, dot, name = key.partition(".")
     if not dot:
         raise ConfigError(f"{where}: key {key!r} is missing its section prefix")
     cls = _SECTIONS.get(section)
     if cls is None:
         raise ConfigError(f"{where}: unknown section {section!r} in key {key!r}")
-    known = {f.name: f for f in dc_fields(cls)}
-    if name not in known:
+    if name not in {f.name for f in dc_fields(cls)}:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    values[section][name] = _coerce(raw, known[name].type)
+    try:
+        values[section][name] = _coerce(raw, _FIELD_TYPES[section][name])
+    except ValueError as e:
+        raise ConfigError(f"{where}: bad value for {key!r}: {e}") from None
 
 
 def parse_config_text(text: str) -> RunConfig:

@@ -279,16 +279,16 @@ class DualLevelModel:
         Bsz = BL // cfg.num_patches
         mods = self.pixel_adaln_params(cond_flat, blk)
         if blk.attn is not None:
-            h = B.adaln_modulate(T.rms_norm(X), mods.gamma1, mods.beta1)
+            h = T.modulated_rms_norm(X, mods.gamma1, mods.beta1)
             u = B.linear(h.reshape(BL, p2 * Dp), blk.compact)
             u = u.reshape(Bsz, cfg.num_patches * k, D)
             if diag is not None:
                 diag["pixel_attention_tokens"] = u.shape[1]
             a = B.multi_head_attention(u, blk.attn, self.pixel_attn_cfg)
             y = B.linear(a.reshape(BL, k * D), blk.expand).reshape(BL, p2, Dp)
-            X = X + mods.alpha1 * y
-        h = B.adaln_modulate(T.rms_norm(X), mods.gamma2, mods.beta2)
-        return X + mods.alpha2 * B.mlp(h, blk.mlp)
+            X = T.gated_residual(X, mods.alpha1, y)
+        h = T.modulated_rms_norm(X, mods.gamma2, mods.beta2)
+        return T.gated_residual(X, mods.alpha2, B.mlp(h, blk.mlp))
 
     # -- full forward ------------------------------------------------------
 

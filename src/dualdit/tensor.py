@@ -76,8 +76,8 @@ class Tensor:
         self.grad = None
 
     def accumulate_grad(self, g: np.ndarray):
+        """Add ``g`` into ``.grad``; the first gradient is copied, never adopted."""
         if self.grad is None:
-            # copy: backward closures may hand the same buffer to several inputs
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
@@ -183,18 +183,38 @@ class Tape:
             if g is None:
                 continue
             grads = backward_fn(g)
+            handed: list[np.ndarray] = []
             for inp, gi in zip(inputs, grads):
                 if gi is None or not inp.requires_grad:
                     continue
-                inp.accumulate_grad(gi)
+                if inp.grad is None and _owned(gi, inp, g, handed):
+                    inp.grad = gi
+                else:
+                    inp.accumulate_grad(gi)
+                handed.append(gi)
+
+
+def _owned(gi: np.ndarray, inp: Tensor, g: np.ndarray, handed: list) -> bool:
+    """Whether a closure's gradient ``gi`` for ``inp`` can become ``inp.grad`` as is.
+
+    Only a buffer the closure allocated itself qualifies: a passthrough or
+    view of the incoming ``g``, or a buffer already handed to another input
+    of the same record, would be shared, and ``.grad`` is later updated in
+    place.
+    """
+    return (gi.dtype == inp.data.dtype and gi.shape == inp.data.shape
+            and gi.flags.writeable and not np.may_share_memory(gi, g)
+            and not any(np.may_share_memory(gi, h) for h in handed))
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
-    tape = active_tape()
-    if any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        if tape is not None:
-            tape.records.append((out, tuple(inputs), backward_fn))
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            tape = active_tape()
+            if tape is not None:
+                tape.records.append((out, tuple(inputs), backward_fn))
+            break
     return out
 
 
@@ -208,6 +228,25 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         g = g.sum(axis=axes, keepdims=True)
     return g.reshape(shape)
+
+
+def _check_onto(t: Tensor, shape: tuple, op: str):
+    """Require ``t`` to broadcast onto ``shape`` without enlarging it."""
+    try:
+        ok = np.broadcast_shapes(t.shape, shape) == tuple(shape)
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ShapeError(f"{op}: {tuple(t.shape)} does not broadcast onto {tuple(shape)}")
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, keeping it with extent one.
+
+    einsum is several times faster than multiply-then-sum over the short
+    rows (8 to 64 elements) of this model's activations.
+    """
+    return np.einsum("...i,...i->...", a, b)[..., None]
 
 
 def _check_broadcastable(a: Tensor, b: Tensor, op: str):
@@ -263,6 +302,23 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), bw)
 
 
+def gated_residual(x: Tensor, alpha: Tensor, y: Tensor) -> Tensor:
+    """x + alpha * y: a residual branch y scaled by a gate broadcast onto it."""
+    if x.shape != y.shape:
+        raise ShapeError(f"gated_residual: stream {tuple(x.shape)} and branch {tuple(y.shape)} differ")
+    _check_onto(alpha, x.shape, "gated_residual")
+    o = alpha.data * y.data
+    o += x.data
+    out = Tensor(o)
+
+    def bw(g):
+        galpha = _unbroadcast(g * y.data, alpha.data.shape) if alpha.requires_grad else None
+        gy = g * alpha.data if y.requires_grad else None
+        return g, galpha, gy
+
+    return _record(out, (x, alpha, y), bw)
+
+
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(a.data * s)
@@ -295,15 +351,30 @@ _GELU_A = 0.044715
 
 
 def gelu_tanh(a: Tensor) -> Tensor:
-    """Tanh-approximated GELU."""
+    """Tanh-approximated GELU: 0.5 x (1 + tanh(c (x + a x^3)))."""
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    u = x * x
+    u *= _GELU_A
+    u += 1.0
+    u *= x
+    u *= _GELU_C
+    np.tanh(u, out=u)
+    u += 1.0
+    u *= 0.5  # u = (1 + tanh) / 2
+    out = Tensor(u * x)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        # d/dx = u + x (1 - tanh^2) c (1 + 3 a x^2) / 2, and (1 - tanh^2) / 2 = 2 u (1 - u)
+        w = x * x
+        w *= 6.0 * _GELU_A * _GELU_C
+        w += 2.0 * _GELU_C
+        w *= x
+        d = 1.0 - u
+        d *= u
+        d *= w
+        d += u
+        d *= g
+        return (d,)
 
     return _record(out, (a,), bw)
 
@@ -344,6 +415,38 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(out, (a, b), bw)
+
+
+def _forward_gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a fused primitive's forward, through ``matmul`` on constants.
+
+    Constants record nothing, and every forward GEMM of the model stays one
+    ``matmul`` call, which is where a profiler that wraps the public
+    primitives counts the model's matmul FLOPs.
+    """
+    return matmul(Tensor(a), Tensor(b)).data
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of x: one 2-D GEMM over all leading axes."""
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(
+            f"linear: input {tuple(x.shape)}, weight {tuple(w.shape)}, bias {tuple(b.shape)} disagree"
+        )
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    y = _forward_gemm(x2, w.data)
+    y += b.data
+    out = Tensor(y.reshape(x.shape[:-1] + (d_out,)))
+
+    def bw(g):
+        g2 = g.reshape(-1, d_out)
+        gx = (g2 @ w.data.T).reshape(x.data.shape) if x.requires_grad else None
+        gw = x2.T @ g2 if w.requires_grad else None
+        gb = g2.sum(axis=0) if b.requires_grad else None
+        return gx, gw, gb
+
+    return _record(out, (x, w, b), bw)
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -436,6 +539,43 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product self-attention on (B, T, heads, head_dim) projections.
+
+    softmax(q k^T / sqrt(head_dim)) v per batch row and head, returned in the
+    same (B, T, heads, head_dim) layout. Scores, softmax and context are one
+    record; the (B, heads, T, T) probabilities are kept for the backward.
+    """
+    if q.ndim != 4 or q.shape != k.shape or q.shape != v.shape:
+        raise ShapeError(
+            f"attention needs equal (B, T, heads, head_dim) shapes, got "
+            f"{tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}"
+        )
+    sc = 1.0 / math.sqrt(q.shape[-1])
+    qt = q.data.transpose(0, 2, 1, 3)  # (B, heads, T, head_dim) views
+    kt = k.data.transpose(0, 2, 1, 3)
+    vt = v.data.transpose(0, 2, 1, 3)
+    p = _forward_gemm(qt, kt.swapaxes(-1, -2))
+    p *= sc
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= _rowdot(p, np.ones(p.shape[-1], dtype=p.dtype))
+    out = Tensor(np.ascontiguousarray(_forward_gemm(p, vt).transpose(0, 2, 1, 3)))
+
+    def bw(g):
+        gt = g.transpose(0, 2, 1, 3)
+        gv = np.matmul(p.swapaxes(-1, -2), gt)
+        ds = np.matmul(gt, vt.swapaxes(-1, -2))
+        ds -= _rowdot(ds, p)
+        ds *= p
+        ds *= sc
+        gq = np.matmul(ds, kt)
+        gk = np.matmul(ds.swapaxes(-1, -2), qt)
+        return tuple(np.ascontiguousarray(gi.transpose(0, 2, 1, 3)) for gi in (gq, gk, gv))
+
+    return _record(out, (q, k, v), bw)
+
+
 RMS_EPS = 1e-6
 
 
@@ -464,6 +604,36 @@ def rms_norm(x: Tensor, gain: Optional[Tensor] = None) -> Tensor:
         return gx, ggain
 
     return _record(out, (x, gain), bw)
+
+
+def modulated_rms_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """AdaLN: gamma * x / sqrt(mean(x^2, last) + eps) + beta.
+
+    ``gamma`` and ``beta`` broadcast onto ``x`` (one row per batch element,
+    patch or pixel).
+    """
+    _check_onto(gamma, x.shape, "modulated_rms_norm")
+    _check_onto(beta, x.shape, "modulated_rms_norm")
+    d = x.data.shape[-1]
+    inv = 1.0 / np.sqrt(_rowdot(x.data, x.data) / d + RMS_EPS)
+    normed = x.data * inv
+    y = normed * gamma.data
+    y += beta.data
+    out = Tensor(y)
+
+    def bw(g):
+        gx = ggamma = gbeta = None
+        if x.requires_grad:
+            gx = g * gamma.data
+            gx -= normed * (_rowdot(gx, normed) / d)
+            gx *= inv
+        if gamma.requires_grad:
+            ggamma = _unbroadcast(g * normed, gamma.data.shape)
+        if beta.requires_grad:
+            gbeta = _unbroadcast(g, beta.data.shape)
+        return gx, ggamma, gbeta
+
+    return _record(out, (x, gamma, beta), bw)
 
 
 def rope_2d(x: Tensor, grid: tuple[int, int], positions: Optional[np.ndarray] = None,

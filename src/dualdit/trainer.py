@@ -201,6 +201,24 @@ def metrics_to_csv(rows: list[dict]) -> str:
     return METRICS_HEADER + "\n" + "".join(_metrics_line(r) for r in rows)
 
 
+def _drop_metrics_from(path, step: int):
+    """Drop the rows of ``step`` and later from a metrics CSV a resume appends to.
+
+    A run that stopped after its last checkpoint logged those steps already;
+    the resumed run logs them again.
+    """
+    with open(path) as f:
+        lines = f.readlines()
+    kept = lines[:1] + [
+        line for line in lines[1:] if line.endswith("\n") and int(line.split(",", 1)[0]) < step
+    ]
+    if len(kept) < len(lines):
+        tmp = f"{path}.tmp"
+        with open(tmp, "w") as f:
+            f.writelines(kept)
+        os.replace(tmp, path)
+
+
 def train(model: DualLevelModel, dataset, cfg: TrainConfig,
           state: Optional[TrainState] = None, resume_from=None,
           metrics_path=None, checkpoint_dir=None,
@@ -243,6 +261,8 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
     metrics_file = None
     if metrics_path is not None:
         fresh = state.step == 0 or not os.path.exists(metrics_path)
+        if not fresh:
+            _drop_metrics_from(metrics_path, state.step)
         metrics_file = open(metrics_path, "w" if fresh else "a")
         if fresh:
             metrics_file.write(METRICS_HEADER + "\n")
@@ -313,6 +333,8 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
             state.step += 1
             if checkpoint_dir is not None and cfg.checkpoint_every > 0 \
                     and state.step % cfg.checkpoint_every == 0:
+                if metrics_file is not None:
+                    metrics_file.flush()  # the rows a resume from this checkpoint keeps
                 save_checkpoint(os.path.join(checkpoint_dir, f"step{state.step:08d}.ckpt"),
                                 model, state)
         if checkpoint_dir is not None:

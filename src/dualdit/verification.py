@@ -39,6 +39,20 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
     def check(fn, shape=(4, 3), seed=1, step=1e-5):
         return lambda: grad_check(fn, _rand(shape, seed), step=step)
 
+    def check_each(fn, shapes, seed, step=1e-5):
+        """Probe every input of a multi-input primitive in turn; the worst error counts."""
+        def run():
+            args = [_rand(shape, seed + i) for i, shape in enumerate(shapes)]
+            return max(
+                grad_check(lambda t, i=i: fn(*args[:i], t, *args[i + 1:]), args[i], step=step)
+                for i in range(len(args))
+            )
+        return run
+
+    w235 = _rand((2, 3, 5), 107, requires_grad=False)
+    w234 = _rand((2, 3, 4), 108, requires_grad=False)
+    w1424 = _rand((1, 4, 2, 4), 109, requires_grad=False)
+
     return [
         ("add", check(lambda x: (T.add(x, w43) * w43).sum())),
         ("sub", check(lambda x: (T.sub(x, w43) * w43).sum())),
@@ -59,6 +73,15 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
         ("gather_rows", check(lambda x: (T.gather_rows(x, np.array([0, 2, 2, 1])) * w43).sum(), shape=(3, 3), seed=3)),
         ("sum", check(lambda x: (x.sum(axis=0) * _rand((3,), 105, False)).sum())),
         ("mean", check(lambda x: x.mean())),
+        ("linear", check_each(lambda x, w, b: (T.linear(x, w, b) * w235).sum(),
+                              [(2, 3, 4), (4, 5), (5,)], seed=4)),
+        ("modulated_rms_norm", check_each(
+            lambda x, gamma, beta: (T.modulated_rms_norm(x, gamma, beta) * w234).sum(),
+            [(2, 3, 4), (2, 1, 4), (2, 1, 4)], seed=7)),
+        ("gated_residual", check_each(lambda x, alpha, y: (T.gated_residual(x, alpha, y) * w234).sum(),
+                                      [(2, 3, 4), (2, 1, 4), (2, 3, 4)], seed=10)),
+        ("attention", check_each(lambda q, k, v: (T.attention(q, k, v) * w1424).sum(),
+                                 [(1, 4, 2, 4)] * 3, seed=13)),
     ]
 
 

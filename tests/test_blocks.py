@@ -184,13 +184,13 @@ class TestMlp:
 class TestAdaln:
     def test_identity_when_gamma_one_beta_zero(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)))
-        out = B.adaln_modulate(x, Tensor(np.ones((2, 1, 4))), Tensor(np.zeros((2, 1, 4))))
-        np.testing.assert_allclose(out.data, x.data, atol=1e-15)
+        out = T.modulated_rms_norm(x, Tensor(np.ones((2, 1, 4))), Tensor(np.zeros((2, 1, 4))))
+        np.testing.assert_allclose(out.data, T.rms_norm(x).data, atol=1e-15)
 
     def test_gamma_zero_broadcasts_beta(self):
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 4)))
         beta = Tensor(np.random.default_rng(2).normal(size=(2, 1, 4)))
-        out = B.adaln_modulate(x, Tensor(np.zeros((2, 1, 4))), beta)
+        out = T.modulated_rms_norm(x, Tensor(np.zeros((2, 1, 4))), beta)
         np.testing.assert_allclose(out.data, np.broadcast_to(beta.data, x.shape), atol=1e-15)
 
     def test_pixelwise_differs_from_patchwise_unless_rows_equal(self):
@@ -199,12 +199,12 @@ class TestAdaln:
         per_pixel = Tensor(rng.normal(size=(2, 4, 3)))
         per_patch = Tensor(per_pixel.data[:, :1, :].copy())
         zero = Tensor(np.zeros((2, 1, 3)))
-        a = B.adaln_modulate(x, per_pixel, Tensor(np.zeros((2, 4, 3))))
-        b = B.adaln_modulate(x, per_patch, zero)
+        a = T.modulated_rms_norm(x, per_pixel, Tensor(np.zeros((2, 4, 3))))
+        b = T.modulated_rms_norm(x, per_patch, zero)
         assert np.abs(a.data - b.data).max() > 1e-3
         # forcing the pixel rows equal recovers the patch-wise result
         per_pixel.data[...] = per_pixel.data[:, :1, :]
-        a2 = B.adaln_modulate(x, per_pixel, Tensor(np.zeros((2, 4, 3))))
+        a2 = T.modulated_rms_norm(x, per_pixel, Tensor(np.zeros((2, 4, 3))))
         np.testing.assert_array_equal(a2.data, b.data)
 
     def test_split_modulation_order_and_width(self):

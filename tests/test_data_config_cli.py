@@ -190,6 +190,19 @@ class TestConfigParsing:
             C.apply_overrides(cfg, [override])
 
 
+    def test_str_field_keeps_commas(self):
+        cfg = C.parse_config_text(CONFIG_TEXT.replace("runs/metrics.csv", "runs/a,b.csv"))
+        assert cfg.paths.metrics == "runs/a,b.csv"
+
+    def test_tuple_field_needs_its_arity(self):
+        with pytest.raises(ConfigError, match="'train.betas'"):
+            C.parse_config_text(CONFIG_TEXT + "\ntrain.betas = 0.9\n")
+
+    def test_int_field_rejects_a_fraction(self):
+        with pytest.raises(ConfigError, match="'train.total_steps'"):
+            C.parse_config_text(CONFIG_TEXT.replace("train.total_steps = 4", "train.total_steps = 1.5"))
+
+
 SRC_DIR = str(Path(__file__).resolve().parent.parent / "src")
 
 
@@ -237,6 +250,14 @@ class TestCli:
     def test_malformed_pair_exits_2(self, tmp_path, args):
         # rejected while parsing, before any checkpoint is opened
         res = run_cli(args, tmp_path)
+        assert res.returncode == 2
+        assert "usage:" in res.stderr
+
+    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--interval", "0.5,0.2"]])
+    def test_bad_sampler_flag_exits_2(self, tmp_path, flag):
+        # checked before the (here nonexistent) checkpoint is opened
+        res = run_cli(["sample", "--checkpoint", "missing.ckpt", "--class", "0", "--out", "o",
+                       *flag], tmp_path)
         assert res.returncode == 2
         assert "usage:" in res.stderr
 

@@ -1,5 +1,6 @@
 """Tensor-core: forward oracles, gradient checks, tape semantics."""
 
+import inspect
 import math
 
 import numpy as np
@@ -176,6 +177,109 @@ class TestTapeSemantics:
                 if inp.requires_grad and id(inp) in outs:
                     assert outs.index(id(inp)) < outs.index(id(out))
         del z
+
+
+def fd_grad(loss, x, step=1e-6):
+    """Central differences of the scalar ``loss()`` with respect to ``x.data``."""
+    fd = np.zeros_like(x.data)
+    flat, fd_flat = x.data.reshape(-1), fd.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = loss().item()
+        flat[i] = orig - step
+        fm = loss().item()
+        flat[i] = orig
+        fd_flat[i] = (fp - fm) / (2.0 * step)
+    return fd
+
+
+def backward(loss):
+    with Tape() as tape:
+        out = loss()
+    tape.backward(out)
+
+
+class TestGradOwnership:
+    """Tape.backward adopts buffers that closures allocate, but never shares one."""
+
+    def test_add_same_leaf_twice(self):
+        x = rand((3, 4), 1)
+        w = rand((3, 4), 2)
+        loss = lambda: (T.add(x, x) * w).sum()
+        backward(loss)
+        np.testing.assert_allclose(x.grad, fd_grad(loss, x), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(x.grad, 2.0 * w.data, rtol=1e-15)
+
+    def test_add_two_same_shape_leaves(self):
+        a, b = rand((3, 4), 3), rand((3, 4), 4)
+        outs = []
+
+        def loss():
+            outs.append(T.add(a, b))
+            return outs[-1].sum()
+
+        backward(loss)
+        total = outs[0]
+        np.testing.assert_allclose(a.grad, fd_grad(loss, a), rtol=1e-7, atol=1e-9)
+        np.testing.assert_allclose(b.grad, fd_grad(loss, b), rtol=1e-7, atol=1e-9)
+        b_grad, total_grad = b.grad.copy(), total.grad.copy()
+        backward(lambda: (a * a).sum())  # accumulates into a.grad in place
+        np.testing.assert_allclose(a.grad, 1.0 + 2.0 * a.data, rtol=1e-15)
+        np.testing.assert_array_equal(b.grad, b_grad)
+        np.testing.assert_array_equal(total.grad, total_grad)
+
+    def test_reshape_chain_into_leaf(self):
+        x = rand((2, 6), 5)
+        w = rand((4, 3), 6)
+        mids = []
+
+        def loss():
+            mids.append(x.reshape(3, 4))
+            return (mids[-1].reshape(12).reshape(4, 3) * w).sum()
+
+        backward(loss)
+        np.testing.assert_allclose(x.grad, fd_grad(loss, x), rtol=1e-7, atol=1e-9)
+        mid_grad = mids[0].grad.copy()
+        backward(lambda: (x * x).sum())  # accumulates into x.grad in place
+        np.testing.assert_allclose(x.grad, w.data.reshape(2, 6) + 2.0 * x.data, rtol=1e-15)
+        np.testing.assert_array_equal(mids[0].grad, mid_grad)
+
+    def test_two_backward_passes_accumulate(self):
+        x = rand((3, 4), 7)
+        w = rand((3, 4), 8)
+        loss = lambda: (T.gelu_tanh(x) * w).sum()
+        backward(loss)
+        backward(loss)
+        np.testing.assert_allclose(x.grad, 2.0 * fd_grad(loss, x), rtol=1e-6, atol=1e-9)
+
+    def test_buffer_handed_to_two_inputs_is_adopted_once(self):
+        a, b = rand((2, 2), 9), rand((2, 2), 10)
+        shared = np.ones((2, 2))
+        with Tape() as tape:
+            out = T._record(Tensor(a.data + b.data), (a, b), lambda g: (shared, shared)).sum()
+        tape.backward(out)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
+
+
+class TestPrimitiveRegistry:
+    # public functions of dualdit.tensor that are not taped primitives
+    NOT_PRIMITIVES = {"active_tape", "grad_check"}
+    # check names that drop the t- prefix of a primitive's function name
+    CHECK_NAMES = {"texp": "exp", "tsqrt": "sqrt", "tsum": "sum", "tmean": "mean"}
+
+    def test_every_public_primitive_has_a_check(self):
+        from dualdit.verification import primitive_checks
+
+        primitives = {
+            name for name, fn in vars(T).items()
+            if inspect.isfunction(fn) and fn.__module__ == T.__name__
+            and not name.startswith("_") and name not in self.NOT_PRIMITIVES
+        }
+        checked = {name for name, _ in primitive_checks()}
+        missing = sorted(p for p in primitives if self.CHECK_NAMES.get(p, p) not in checked)
+        assert not missing, f"primitives without a verification.primitive_checks entry: {missing}"
 
 
 class TestInvariantProperties:

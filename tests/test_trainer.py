@@ -202,6 +202,22 @@ class TestCheckpointing:
         for k, t in model_a.params.items():
             np.testing.assert_array_equal(t.data, model_c.params[k].data)
 
+    def test_resume_drops_stale_metric_rows(self, tmp_path):
+        # uninterrupted: 6 steps, checkpoints at 3 and 6
+        model_a, dataset, cfg_a = tiny_setup(total_steps=6, checkpoint_every=3)
+        (tmp_path / "a").mkdir()
+        TR.train(model_a, dataset, cfg_a, metrics_path=str(tmp_path / "a.csv"),
+                 checkpoint_dir=tmp_path / "a")
+        # stopped after step 4, past the checkpoint at 3: rows 3 and 4 are stale
+        model_b, _, cfg_b = tiny_setup(total_steps=5, checkpoint_every=3)
+        (tmp_path / "b").mkdir()
+        TR.train(model_b, dataset, cfg_b, metrics_path=str(tmp_path / "b.csv"),
+                 checkpoint_dir=tmp_path / "b")
+        model_c, _, cfg_c = tiny_setup(total_steps=6, checkpoint_every=3)
+        TR.train(model_c, dataset, cfg_c, resume_from=tmp_path / "b/step00000003.ckpt",
+                 metrics_path=str(tmp_path / "b.csv"), checkpoint_dir=tmp_path / "b")
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+
     def test_resume_with_alignment_projector(self, tmp_path):
         # the projector's parameters are part of the optimizer state and must
         # survive the checkpoint round trip
