@@ -15,8 +15,10 @@ rng = np.random.default_rng(0)
 
 # --- 2D RoPE: rotations preserve norms and encode relative offsets --------
 
+# the tables are built once per grid; rope_2d only rotates
+rope = B.rope_tables(B.grid_positions(3, 3), 8, np.float64)
 x = Tensor(rng.normal(size=(1, 9, 2, 8)))  # 3x3 grid, 2 heads, head_dim 8
-y = T.rope_2d(x, (3, 3))
+y = T.rope_2d(x, *rope)
 print("per-token norms preserved:",
       np.allclose(np.linalg.norm(y.data, axis=-1), np.linalg.norm(x.data, axis=-1)))
 
@@ -25,7 +27,7 @@ q, k = rng.normal(size=8), rng.normal(size=8)
 def rotated(v, r, c):
     buf = np.zeros((1, 9, 1, 8))
     buf[0, r * 3 + c, 0] = v
-    return T.rope_2d(Tensor(buf), (3, 3)).data[0, r * 3 + c, 0]
+    return T.rope_2d(Tensor(buf), *rope).data[0, r * 3 + c, 0]
 
 pairs = [((0, 1), (1, 0)), ((1, 2), (2, 1)), ((0, 2), (1, 1))]
 print("inner products at equal offsets (should all match):")
@@ -38,7 +40,7 @@ store = B.ParamStore(np.random.default_rng(1), dtype=np.float64)
 params = B.make_attention_params(store, "attn", 8)
 for t in store.params.values():
     t.data[...] = rng.normal(scale=0.3, size=t.shape)
-cfg = B.AttentionConfig(heads=2, head_dim=4, rope_enabled=True, grid=(1, 3))
+cfg = B.AttentionConfig(2, 4, B.rope_tables(B.grid_positions(1, 3), 4, np.float64))
 out = B.multi_head_attention(Tensor(rng.normal(size=(1, 3, 8))), params, cfg)
 print("attention output shape:", out.shape)
 
@@ -52,7 +54,7 @@ for name, t in store.params.items():
 s = Tensor(rng.normal(size=(1, 4, 8)))
 c = Tensor(rng.normal(size=(1, 1, 8)))
 out = s
-bcfg = B.AttentionConfig(heads=2, head_dim=4, rope_enabled=True, grid=(2, 2))
+bcfg = B.AttentionConfig(2, 4, B.rope_tables(B.grid_positions(2, 2), 4, np.float64))
 for p in blocks:
     out = B.dit_block(out, c, p, bcfg)
 print("4-block stack at init is the identity:", bool(np.all(out.data == s.data)))

@@ -55,19 +55,46 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return T.linear(x, p.w, p.b)
 
 
+ROPE_BASE = 10000.0  # wavelength base of the rotary frequency bank
+
+
+def grid_positions(rows: int, cols: int, repeat: int = 1) -> np.ndarray:
+    """(row, col) of every token of a rows x cols grid, row-major, shape (rows*cols*repeat, 2).
+
+    Each cell appears ``repeat`` times in a row: the k tokens a patch compacts
+    to share the patch's cell.
+    """
+    cells = np.stack([np.repeat(np.arange(rows), cols), np.tile(np.arange(cols), rows)], axis=1)
+    return np.repeat(cells, repeat, axis=0)
+
+
+def rope_tables(positions: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Axial 2D RoPE (cos, sin), each (T, 1, head_dim // 2), broadcast over heads.
+
+    The first half of the rotation pairs turns by angles of the token's row,
+    the second half by angles of its column.
+    """
+    if head_dim % 4 != 0:
+        raise ConfigError(f"2D RoPE needs head_dim divisible by 4, got {head_dim}")
+    r_idx = positions[:, 0].astype(dtype)
+    c_idx = positions[:, 1].astype(dtype)
+    quarter = head_dim // 4
+    freqs = ROPE_BASE ** (-np.arange(quarter, dtype=dtype) / quarter)
+    theta = np.concatenate(
+        [r_idx[:, None] * freqs[None, :], c_idx[:, None] * freqs[None, :]], axis=1
+    )  # (T, head_dim // 2)
+    return np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+
+
 @dataclass
 class AttentionConfig:
     heads: int
     head_dim: int
-    rope_enabled: bool = True
-    grid: tuple[int, int] = (1, 1)
-    positions: Optional[np.ndarray] = None  # per-token (row, col); overrides grid enumeration
+    rope: Optional[tuple[np.ndarray, np.ndarray]] = None  # rope_tables(...); None: no RoPE
 
     def __post_init__(self):
         if self.heads < 1 or self.head_dim < 1:
             raise ConfigError("attention needs positive heads and head_dim")
-        if self.rope_enabled and self.head_dim % 4 != 0:
-            raise ConfigError(f"2D RoPE needs head_dim divisible by 4, got {self.head_dim}")
 
     @property
     def width(self) -> int:
@@ -100,9 +127,9 @@ def multi_head_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfi
     q = linear(x, params.q).reshape(B, Tlen, h, hd)
     k = linear(x, params.k).reshape(B, Tlen, h, hd)
     v = linear(x, params.v).reshape(B, Tlen, h, hd)
-    if cfg.rope_enabled:
-        q = T.rope_2d(q, cfg.grid, positions=cfg.positions)
-        k = T.rope_2d(k, cfg.grid, positions=cfg.positions)
+    if cfg.rope is not None:
+        q = T.rope_2d(q, *cfg.rope)
+        k = T.rope_2d(k, *cfg.rope)
     return linear(T.attention(q, k, v).reshape(B, Tlen, D), params.o)
 
 

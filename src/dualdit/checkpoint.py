@@ -27,7 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import ConfigError, ParseError, ShapeError
 
 MAGIC = b"DLVLCKPT"
 FORMAT_VERSION = 1
@@ -87,3 +87,12 @@ def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after last record", offset=off)
     return header, arrays
+
+
+def get_record(arrays: dict[str, np.ndarray], name: str, shape) -> np.ndarray:
+    """The loaded record ``name``, checked against the shape it must have."""
+    if name not in arrays:
+        raise ConfigError(f"checkpoint lacks record {name!r} (another model configuration?)")
+    if arrays[name].shape != tuple(shape):
+        raise ShapeError(f"checkpoint record {name!r}: shape {arrays[name].shape} != {tuple(shape)}")
+    return arrays[name]

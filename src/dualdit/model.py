@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import blocks as B
+from . import checkpoint as ckpt
 from . import tensor as T
 from .errors import ConfigError, InputError, ShapeError
 from .tensor import Tensor
@@ -45,8 +46,11 @@ class ModelConfig:
         H, W = self.resolution
         if self.patch_depth < 0 or self.pixel_depth < 0:
             raise ConfigError("pathway depths must be non-negative")
-        if self.patch_dim < 1 or self.pixel_dim < 1:
-            raise ConfigError("hidden sizes must be positive")
+        for name in ("patch_dim", "pixel_dim", "heads", "patch_size", "channels", "num_classes"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if H < 1 or W < 1:
+            raise ConfigError(f"resolution entries must be positive, got {self.resolution}")
         if self.patch_dim % self.heads != 0:
             raise ConfigError(f"patch_dim {self.patch_dim} not divisible by heads {self.heads}")
         if H % self.patch_size or W % self.patch_size:
@@ -57,8 +61,6 @@ class ModelConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
         if self.ptc_rate not in (1, 2, 4):
             raise ConfigError(f"ptc_rate must be 1, 2 or 4, got {self.ptc_rate}")
-        if self.num_classes < 1:
-            raise ConfigError("need at least one class")
         head_dim = self.patch_dim // self.heads
         if head_dim % 4 != 0:
             raise ConfigError(f"head_dim {head_dim} must be divisible by 4 for 2D RoPE")
@@ -177,8 +179,9 @@ class DualLevelModel:
             B.make_dit_block_params(store, f"patch_blocks.{i}", D)
             for i in range(cfg.patch_depth)
         ]
+        head_dim = D // cfg.heads
         self.patch_attn_cfg = B.AttentionConfig(
-            heads=cfg.heads, head_dim=D // cfg.heads, rope_enabled=True, grid=cfg.grid
+            cfg.heads, head_dim, B.rope_tables(B.grid_positions(*cfg.grid), head_dim, self.dtype)
         )
 
         self.pit_blocks: list[PitBlockParams] = []
@@ -201,17 +204,12 @@ class DualLevelModel:
                     blk.attn = B.make_attention_params(store, f"pit.{i}.attn", D)
                 self.pit_blocks.append(blk)
             self.pixel_head = store.linear("pixel_head", Dp, C, init="zeros")
-            gh, gw = cfg.grid
-            positions = None
-            if cfg.ptc_rate > 1:
-                base = np.stack(
-                    [np.repeat(np.arange(gh), gw), np.tile(np.arange(gw), gh)], axis=1
-                )
-                positions = np.repeat(base, cfg.ptc_rate, axis=0)
-            self.pixel_attn_cfg = B.AttentionConfig(
-                heads=cfg.heads, head_dim=D // cfg.heads,
-                rope_enabled=cfg.rope_pixel_pathway, grid=cfg.grid, positions=positions,
-            )
+            # the k tokens each patch compacts to share its cell
+            pixel_rope = None
+            if cfg.rope_pixel_pathway:
+                pixel_rope = B.rope_tables(B.grid_positions(*cfg.grid, cfg.ptc_rate),
+                                           head_dim, self.dtype)
+            self.pixel_attn_cfg = B.AttentionConfig(cfg.heads, head_dim, pixel_rope)
 
         self.params = store.params
 
@@ -335,16 +333,10 @@ class DualLevelModel:
     def num_params(self) -> int:
         return sum(t.size for t in self.params.values())
 
-    def load_state(self, arrays: dict[str, np.ndarray]):
-        missing = set(self.params) - set(arrays)
-        extra = set(arrays) - set(self.params)
-        if missing or extra:
-            raise ConfigError(f"state mismatch: missing {sorted(missing)}, extra {sorted(extra)}")
+    def load_state(self, arrays: dict[str, np.ndarray], prefix: str):
+        """Copy record ``prefix + name`` of ``arrays`` into each parameter."""
         for name, t in self.params.items():
-            arr = np.asarray(arrays[name], dtype=self.dtype)
-            if arr.shape != t.shape:
-                raise ShapeError(f"parameter {name}: shape {arr.shape} != expected {t.shape}")
-            t.data[...] = arr
+            t.data[...] = ckpt.get_record(arrays, prefix + name, t.shape)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:

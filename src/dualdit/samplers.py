@@ -81,14 +81,19 @@ def make_schedule(steps: int, shift_alpha: float = 1.0) -> Schedule:
     return Schedule(t=t)
 
 
+def _guided(scale: float, t: float, interval: tuple[float, float]) -> bool:
+    """Whether a step at ``t`` mixes in the unconditional velocity."""
+    lo, hi = interval
+    return scale != 1.0 and lo <= t <= hi
+
+
 def guided_velocity(v_cond: np.ndarray, v_uncond: np.ndarray, scale: float, t: float,
                     interval: tuple[float, float]) -> np.ndarray:
     """v_u + scale*(v_c - v_u) inside the interval; the conditional branch outside.
 
     scale == 1 returns v_cond itself, so guidance degenerates bitwise.
     """
-    lo, hi = interval
-    if scale == 1.0 or not (lo <= t <= hi):
+    if not _guided(scale, t, interval):
         return v_cond
     return v_uncond + scale * (v_cond - v_uncond)
 
@@ -159,7 +164,7 @@ def flow_dpm_step(history: FlowDpmHistory, x: np.ndarray, t: float, t_next: floa
 # ---------------------------------------------------------------------------
 
 def integrate(velocity_fn: Callable[[np.ndarray, float], np.ndarray], x: np.ndarray,
-              schedule: Schedule, solver: str, check_finite: bool = True) -> np.ndarray:
+              schedule: Schedule, solver: str) -> np.ndarray:
     """Run one trajectory from schedule.t[0]=1 down to 0."""
     if solver not in SOLVERS:
         raise ConfigError(f"unknown solver {solver!r}")
@@ -173,7 +178,7 @@ def integrate(velocity_fn: Callable[[np.ndarray, float], np.ndarray], x: np.ndar
             x = heun_step(x, t, t_next, velocity_fn)
         else:
             x = flow_dpm_step(history, x, t, t_next, velocity_fn)
-        if check_finite and not np.all(np.isfinite(x)):
+        if not np.all(np.isfinite(x)):
             raise NumericError(f"sampler state became non-finite at step {i} (t={t:.4f})")
     return x
 
@@ -196,12 +201,11 @@ def sample(model, cfg: SamplerConfig, y: np.ndarray,
     else:
         x = np.asarray(initial, dtype=model.dtype).reshape(shape).copy()
     y_null = np.full(n, mc.null_class, dtype=np.int64)
-    lo, hi = cfg.cfg_interval
 
     def velocity_fn(state, t):
         tt = np.full(n, t)
         v_c = model.forward(state, tt, y).data
-        if cfg.cfg_scale == 1.0 or not (lo <= t <= hi):
+        if not _guided(cfg.cfg_scale, t, cfg.cfg_interval):
             return v_c
         v_u = model.forward(state, tt, y_null).data
         return guided_velocity(v_c, v_u, cfg.cfg_scale, t, cfg.cfg_interval)

@@ -82,13 +82,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def check_finite(self, what: str = "tensor"):
-        """Explicit NaN/Inf detection; raises NumericError on failure."""
-        if not np.all(np.isfinite(self.data)):
-            bad = int(np.count_nonzero(~np.isfinite(self.data)))
-            raise NumericError(f"{what} contains {bad} non-finite value(s)")
-        return self
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={tuple(self.shape)}, dtype={self.data.dtype}{flag})"
@@ -636,40 +629,15 @@ def modulated_rms_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record(out, (x, gamma, beta), bw)
 
 
-def rope_2d(x: Tensor, grid: tuple[int, int], positions: Optional[np.ndarray] = None,
-            base: float = 10000.0) -> Tensor:
-    """Axial 2D rotary embedding over the last axis of (..., T, heads, head_dim).
+def rope_2d(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
+    """Rotate the interleaved (even, odd) pairs of the last axis of (..., T, heads, head_dim).
 
-    The head_dim is split into interleaved (even, odd) pairs; the first half
-    of the pairs rotates by angles derived from the token's row index, the
-    second half from its column index. ``positions`` overrides the default
-    row-major grid enumeration (needed when several tokens share a cell).
+    ``cos`` and ``sin`` are (T, 1, head_dim // 2) tables of the rotation
+    angles (``blocks.rope_tables``), broadcast over heads.
     """
-    rows, cols = grid
-    T = x.data.shape[-3]
-    hd = x.data.shape[-1]
-    if hd % 4 != 0:
-        raise ShapeError(f"rope_2d requires head_dim divisible by 4, got {hd}")
-    if positions is None:
-        if T != rows * cols:
-            raise ShapeError(f"rope_2d: sequence length {T} != rows*cols = {rows}*{cols}")
-        r_idx = np.repeat(np.arange(rows), cols).astype(x.data.dtype)
-        c_idx = np.tile(np.arange(cols), rows).astype(x.data.dtype)
-    else:
-        pos = np.asarray(positions)
-        if pos.shape != (T, 2):
-            raise ShapeError(f"rope_2d: positions must have shape ({T}, 2), got {pos.shape}")
-        r_idx = pos[:, 0].astype(x.data.dtype)
-        c_idx = pos[:, 1].astype(x.data.dtype)
-
-    quarter = hd // 4
-    freqs = base ** (-np.arange(quarter, dtype=x.data.dtype) / quarter)
-    theta = np.concatenate(
-        [r_idx[:, None] * freqs[None, :], c_idx[:, None] * freqs[None, :]], axis=1
-    )  # (T, hd//2)
-    cos = np.cos(theta)[:, None, :]  # broadcast over heads
-    sin = np.sin(theta)[:, None, :]
-
+    T, hd = x.data.shape[-3], x.data.shape[-1]
+    if hd % 2 or cos.shape != (T, 1, hd // 2) or sin.shape != cos.shape:
+        raise ShapeError(f"rope_2d: tables {cos.shape}/{sin.shape} do not fit x {x.data.shape}")
     xe = x.data[..., 0::2]
     xo = x.data[..., 1::2]
     y = np.empty_like(x.data)

@@ -161,12 +161,7 @@ def save_checkpoint(path, model: DualLevelModel, state: TrainState):
 def load_model(path, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
     header, arrays = ckpt.load(path)
     model = DualLevelModel(config_from_dict(header["model_config"]), dtype=dtype)
-    prefix = "ema." if use_ema else "param."
-    state = {
-        name[len(prefix):]: arr for name, arr in arrays.items()
-        if name.startswith(prefix) and name[len(prefix):] in model.params
-    }
-    model.load_state(state)
+    model.load_state(arrays, "ema." if use_ema else "param.")
     return model
 
 
@@ -174,15 +169,10 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
     header, arrays = ckpt.load(path)
     if header.get("kind") != "train_state":
         raise ConfigError(f"{path} is not a training checkpoint")
-    missing = [n for n in state.params if f"param.{n}" not in arrays]
-    if missing:
-        raise ConfigError(f"checkpoint {path} lacks parameters {missing[:4]}...; "
-                          f"was it written with a different configuration?")
     for name, t in state.params.items():
-        t.data[...] = arrays[f"param.{name}"]
-        state.m[name] = arrays[f"adam_m.{name}"].astype(t.data.dtype)
-        state.v[name] = arrays[f"adam_v.{name}"].astype(t.data.dtype)
-        state.ema[name] = arrays[f"ema.{name}"].astype(t.data.dtype)
+        t.data[...] = ckpt.get_record(arrays, f"param.{name}", t.shape)
+        for kind, records in (("adam_m", state.m), ("adam_v", state.v), ("ema", state.ema)):
+            records[name] = ckpt.get_record(arrays, f"{kind}.{name}", t.shape).astype(t.data.dtype)
     state.step = int(header["step"])
     state.skipped_steps = int(header["skipped_steps"])
     state.consecutive_bad = int(header["consecutive_bad"])

@@ -35,6 +35,7 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
     w26 = _rand((2, 6), 102, requires_grad=False)
     w42 = _rand((4, 2), 106, requires_grad=False)
     wrope = _rand((1, 4, 2, 8), 103, requires_grad=False)
+    rope = B.rope_tables(B.grid_positions(2, 2), 8, np.float64)
 
     def check(fn, shape=(4, 3), seed=1, step=1e-5):
         return lambda: grad_check(fn, _rand(shape, seed), step=step)
@@ -66,7 +67,7 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
         ("matmul", check(lambda x: (T.matmul(x, w34) * Tensor(np.ones((4, 4)))).sum())),
         ("softmax_lastdim", check(lambda x: (T.softmax_lastdim(x) * w43).sum())),
         ("rms_norm", check(lambda x: (T.rms_norm(x, _rand((3,), 104, False)) * w43).sum())),
-        ("rope_2d", check(lambda x: (T.rope_2d(x, (2, 2)) * wrope).sum(), shape=(1, 4, 2, 8), seed=2)),
+        ("rope_2d", check(lambda x: (T.rope_2d(x, *rope) * wrope).sum(), shape=(1, 4, 2, 8), seed=2)),
         ("reshape", check(lambda x: (x.reshape(2, 6) * w26).sum())),
         ("transpose", check(lambda x: (x.transpose(1, 0) * w34).sum())),
         ("slice_lastdim", check(lambda x: (T.slice_lastdim(x, 1, 3) * w42).sum() + T.slice_lastdim(x, 0, 2).sum())),
@@ -94,7 +95,7 @@ def block_checks() -> list[tuple[str, Callable[[], float]]]:
             t.data[...] = rng.normal(scale=0.2, size=t.shape)
         s = Tensor(rng.normal(size=(1, 4, 8)))
         c = Tensor(rng.normal(size=(1, 1, 8)))
-        cfg = B.AttentionConfig(heads=2, head_dim=4, rope_enabled=True, grid=(2, 2))
+        cfg = B.AttentionConfig(2, 4, B.rope_tables(B.grid_positions(2, 2), 4, np.float64))
         worst = 0.0
         for t in store.params.values():
             worst = max(worst, grad_check(

@@ -37,17 +37,33 @@ class TestRmsNorm:
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
 
+def grid_rope(rows, cols, head_dim=8):
+    return B.rope_tables(B.grid_positions(rows, cols), head_dim, np.float64)
+
+
+class TestGridPositions:
+    def test_row_major_with_repeated_cells(self):
+        expected = [[0, 0], [0, 0], [0, 1], [0, 1], [0, 2], [0, 2],
+                    [1, 0], [1, 0], [1, 1], [1, 1], [1, 2], [1, 2]]
+        np.testing.assert_array_equal(B.grid_positions(2, 3, repeat=2), expected)
+
+    def test_tables_shape_and_dtype(self):
+        cos, sin = B.rope_tables(B.grid_positions(2, 3, repeat=2), 8, np.float32)
+        assert cos.shape == sin.shape == (12, 1, 4)
+        assert cos.dtype == sin.dtype == np.float32
+
+
 class TestRope2d:
     def test_origin_token_unchanged(self):
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 4, 1, 8)))
-        y = T.rope_2d(x, (2, 2))
+        y = T.rope_2d(x, *grid_rope(2, 2))
         np.testing.assert_allclose(y.data[0, 0], x.data[0, 0], atol=1e-15)
 
     def test_isometry_per_token(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(2, 9, 3, 8)))
-        y = T.rope_2d(x, (3, 3))
+        y = T.rope_2d(x, *grid_rope(3, 3))
         np.testing.assert_allclose(
             np.linalg.norm(y.data, axis=-1), np.linalg.norm(x.data, axis=-1), atol=1e-12
         )
@@ -57,11 +73,12 @@ class TestRope2d:
         rng = np.random.default_rng(2)
         q = rng.normal(size=8)
         k = rng.normal(size=8)
+        rope = grid_rope(3, 3)
 
         def rotated(v, r, c):
             grid = np.zeros((1, 9, 1, 8))
             grid[0, r * 3 + c, 0] = v
-            return T.rope_2d(Tensor(grid), (3, 3)).data[0, r * 3 + c, 0]
+            return T.rope_2d(Tensor(grid), *rope).data[0, r * 3 + c, 0]
 
         base = rotated(q, 0, 1) @ rotated(k, 1, 0)
         shifted = rotated(q, 1, 2) @ rotated(k, 2, 1)
@@ -71,8 +88,12 @@ class TestRope2d:
         assert abs(base - other) > 1e-6
 
     def test_bad_sequence_length(self):
-        with pytest.raises(ShapeError, match="rows\\*cols"):
-            T.rope_2d(Tensor(np.zeros((1, 5, 1, 8))), (2, 2))
+        with pytest.raises(ShapeError, match="do not fit"):
+            T.rope_2d(Tensor(np.zeros((1, 5, 1, 8))), *grid_rope(2, 2))
+
+    def test_tables_of_another_head_dim_raise(self):
+        with pytest.raises(ShapeError, match="do not fit"):
+            T.rope_2d(Tensor(np.zeros((1, 4, 1, 8))), *grid_rope(2, 2, head_dim=4))
 
 
 def naive_attention(x, p, heads):
@@ -101,7 +122,7 @@ class TestAttention:
         rng = np.random.default_rng(4)
         randomize(st.params, rng)
         x = Tensor(rng.normal(size=(2, 1, 4)))
-        cfg = B.AttentionConfig(heads=1, head_dim=4, rope_enabled=False)
+        cfg = B.AttentionConfig(heads=1, head_dim=4)
         out = B.multi_head_attention(x, p, cfg)
         v = x.data @ p.v.w.data + p.v.b.data
         expected = v @ p.o.w.data + p.o.b.data
@@ -116,7 +137,7 @@ class TestAttention:
         p.v.b.data[...] = 0.0
         p.o.b.data[...] = 0.0
         x = Tensor(rng.normal(size=(1, 3, 4)))
-        cfg = B.AttentionConfig(heads=2, head_dim=2, rope_enabled=False)
+        cfg = B.AttentionConfig(heads=2, head_dim=2)
         out = B.multi_head_attention(x, p, cfg)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
@@ -126,20 +147,20 @@ class TestAttention:
         rng = np.random.default_rng(8)
         randomize(st.params, rng)
         x = Tensor(rng.normal(size=(1, 3, 4)))
-        cfg = B.AttentionConfig(heads=2, head_dim=2, rope_enabled=False)
+        cfg = B.AttentionConfig(heads=2, head_dim=2)
         out = B.multi_head_attention(x, p, cfg)
         np.testing.assert_allclose(out.data, naive_attention(x.data, p, 2), atol=1e-10)
 
     def test_rope_requires_divisible_head_dim(self):
         with pytest.raises(ConfigError, match="divisible by 4"):
-            B.AttentionConfig(heads=2, head_dim=2, rope_enabled=True)
+            grid_rope(2, 2, head_dim=2)
 
     def test_attention_grad(self):
         st = store(9)
         p = B.make_attention_params(st, "attn", 8)
         rng = np.random.default_rng(10)
         randomize(st.params, rng)
-        cfg = B.AttentionConfig(heads=2, head_dim=4, rope_enabled=True, grid=(1, 3))
+        cfg = B.AttentionConfig(heads=2, head_dim=4, rope=grid_rope(1, 3, head_dim=4))
         x0 = rng.normal(size=(1, 3, 8))
 
         def f(t):
@@ -220,7 +241,7 @@ class TestAdaln:
 
 class TestDitBlock:
     def cfg(self, width, grid):
-        return B.AttentionConfig(heads=2, head_dim=width // 2, rope_enabled=True, grid=grid)
+        return B.AttentionConfig(heads=2, head_dim=width // 2, rope=grid_rope(*grid, width // 2))
 
     def test_zero_gates_identity(self):
         st = store(20)

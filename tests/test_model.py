@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from dualdit import blocks as B
 from dualdit import model as M
 from dualdit.errors import ConfigError, InputError, ShapeError
 from dualdit.tensor import Tensor, grad_check
@@ -73,6 +74,14 @@ class TestConfig:
             M.toy_config(pixel_dim=0)
         with pytest.raises(ConfigError):
             M.toy_config(ptc_rate=3)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(heads=0), dict(heads=-2), dict(patch_size=0), dict(patch_size=-2),
+        dict(channels=0), dict(resolution=(0, 8)), dict(resolution=(8, -8)),
+    ], ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()))
+    def test_non_positive_sizes_rejected(self, overrides):
+        with pytest.raises(ConfigError, match="must be positive"):
+            M.toy_config(**overrides)
 
     def test_roundtrip_dict(self):
         cfg = M.toy_config(ptc_rate=2, variant="B_patchwise")
@@ -189,6 +198,31 @@ class TestForward:
             randomize_all(m, np.random.default_rng(43))
             outs.append(m.forward(x, np.array([0.5]), np.array([1])).data)
         assert np.abs(outs[0] - outs[1]).max() > 1e-9
+
+
+class TestRopeGeometry:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_pixel_tables_repeat_each_patch_cell(self, k):
+        m = toy_model(ptc_rate=k)
+        gh, gw = m.config.grid
+        cos, sin = m.pixel_attn_cfg.rope
+        want_cos, want_sin = B.rope_tables(B.grid_positions(gh, gw, k), 8, np.float64)
+        np.testing.assert_array_equal(cos, want_cos)
+        np.testing.assert_array_equal(sin, want_sin)
+        assert cos.shape == (gh * gw * k, 1, 4)
+
+    def test_pixel_tables_absent_without_pixel_rope(self):
+        assert toy_model(rope_pixel_pathway=False).pixel_attn_cfg.rope is None
+
+    def test_forward_builds_no_tables(self, monkeypatch):
+        m = toy_model(ptc_rate=2)
+        calls = []
+        real = B.rope_tables
+        monkeypatch.setattr(B, "rope_tables", lambda *a: calls.append(a) or real(*a))
+        m.forward(np.zeros((2, 3, 8, 8)), np.array([0.2, 0.7]), np.array([0, 1]))
+        assert calls == []
+        toy_model(ptc_rate=2)
+        assert len(calls) == 2  # patch and pixel tables, at construction
 
 
 class TestVariantLattice:

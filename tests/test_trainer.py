@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from dualdit import checkpoint as C
 from dualdit import data as D
 from dualdit import trainer as TR
-from dualdit.errors import NumericError
+from dualdit.errors import ConfigError, NumericError, ShapeError
 from dualdit.model import DualLevelModel, toy_config
 from dualdit.tensor import Tensor
 
@@ -233,6 +234,45 @@ class TestCheckpointing:
         model_c, _, cfg_c = tiny_setup(total_steps=8, align=0.5)
         resumed = TR.train(model_c, dataset, cfg_c, resume_from=ck)
         assert TR.metrics_to_csv(full.metrics[4:]) == TR.metrics_to_csv(resumed.metrics)
+
+    def test_resume_into_another_width_names_the_record(self, tmp_path):
+        model, dataset, cfg = tiny_setup(total_steps=2)
+        state = TR.train(model, dataset, cfg)
+        ck = tmp_path / "d16.ckpt"
+        TR.save_checkpoint(ck, model, state)
+        wide = DualLevelModel(toy_config(resolution=(4, 4), num_classes=2, patch_dim=32,
+                                         pixel_dim=4, patch_depth=1, pixel_depth=1))
+        with pytest.raises(ShapeError, match=r"'param\.patch_embed\.w'.*\(12, 16\).*\(12, 32\)"):
+            TR.restore_state(wide, TR.init_state(wide, cfg), ck)
+
+    @pytest.mark.parametrize("kind", ["param", "adam_m", "adam_v", "ema"])
+    def test_resume_checks_every_record(self, tmp_path, kind):
+        model, dataset, cfg = tiny_setup(total_steps=2)
+        state = TR.train(model, dataset, cfg)
+        ck = tmp_path / "a.ckpt"
+        TR.save_checkpoint(ck, model, state)
+        header, arrays = C.load(ck)
+        name = f"{kind}.pixel_head.w"
+        arrays[name] = arrays[name][:-1]
+        C.save(ck, header, arrays)
+        with pytest.raises(ShapeError, match=rf"'{name}'"):
+            TR.restore_state(model, TR.init_state(model, cfg), ck)
+        del arrays[name]
+        C.save(ck, header, arrays)
+        with pytest.raises(ConfigError, match=rf"lacks record '{name}'"):
+            TR.restore_state(model, TR.init_state(model, cfg), ck)
+
+    def test_load_model_checks_the_records_it_reads(self, tmp_path):
+        model, dataset, cfg = tiny_setup(total_steps=1)
+        state = TR.train(model, dataset, cfg)
+        ck = tmp_path / "m.ckpt"
+        TR.save_checkpoint(ck, model, state)
+        header, arrays = C.load(ck)
+        del arrays["ema.pixel_head.b"]
+        C.save(ck, header, arrays)
+        with pytest.raises(ConfigError, match="'ema.pixel_head.b'"):
+            TR.load_model(ck)
+        TR.load_model(ck, use_ema=False)  # the raw parameters are all there
 
     def test_load_model_uses_ema(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=5)
