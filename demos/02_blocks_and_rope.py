@@ -15,19 +15,20 @@ rng = np.random.default_rng(0)
 
 # --- 2D RoPE: rotations preserve norms and encode relative offsets --------
 
-# the tables are built once per grid; rope_2d only rotates
+# the tables are built once per grid; attention rotates q and k inside its
+# record with the private helper shown here
 rope = B.rope_tables(B.grid_positions(3, 3), 8, np.float64)
-x = Tensor(rng.normal(size=(1, 9, 2, 8)))  # 3x3 grid, 2 heads, head_dim 8
-y = T.rope_2d(x, *rope)
+x = rng.normal(size=(1, 9, 2, 8))  # 3x3 grid, 2 heads, head_dim 8
+y = T._rotate(x, *rope)
 print("per-token norms preserved:",
-      np.allclose(np.linalg.norm(y.data, axis=-1), np.linalg.norm(x.data, axis=-1)))
+      np.allclose(np.linalg.norm(y, axis=-1), np.linalg.norm(x, axis=-1)))
 
 q, k = rng.normal(size=8), rng.normal(size=8)
 
 def rotated(v, r, c):
     buf = np.zeros((1, 9, 1, 8))
     buf[0, r * 3 + c, 0] = v
-    return T.rope_2d(Tensor(buf), *rope).data[0, r * 3 + c, 0]
+    return T._rotate(buf, *rope)[0, r * 3 + c, 0]
 
 pairs = [((0, 1), (1, 0)), ((1, 2), (2, 1)), ((0, 2), (1, 1))]
 print("inner products at equal offsets (should all match):")

@@ -120,17 +120,11 @@ def make_attention_params(store: ParamStore, name: str, width: int) -> Attention
 
 def multi_head_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig) -> Tensor:
     """Scaled dot-product attention over (B, T, D) with per-head softmax."""
-    B, Tlen, D = x.shape
+    D = x.shape[-1]
     if D != cfg.width:
         raise ShapeError(f"attention width mismatch: input {D}, config {cfg.width}")
-    h, hd = cfg.heads, cfg.head_dim
-    q = linear(x, params.q).reshape(B, Tlen, h, hd)
-    k = linear(x, params.k).reshape(B, Tlen, h, hd)
-    v = linear(x, params.v).reshape(B, Tlen, h, hd)
-    if cfg.rope is not None:
-        q = T.rope_2d(q, *cfg.rope)
-        k = T.rope_2d(k, *cfg.rope)
-    return linear(T.attention(q, k, v).reshape(B, Tlen, D), params.o)
+    a = T.attention(linear(x, params.q), linear(x, params.k), linear(x, params.v), cfg.heads, cfg.rope)
+    return linear(a, params.o)
 
 
 @dataclass
@@ -173,11 +167,7 @@ def split_modulation(theta: Tensor, width: int) -> ModulationParams:
         raise ConfigError(
             f"modulation head output width {theta.shape[-1]} != 6*{width}"
         )
-    groups = {
-        name: T.slice_lastdim(theta, i * width, (i + 1) * width)
-        for i, name in enumerate(MOD_GROUP_ORDER)
-    }
-    return ModulationParams(**groups)
+    return ModulationParams(*T.split_lastdim(theta, 6))
 
 
 @dataclass

@@ -74,11 +74,19 @@ def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
         header = json.loads(take(hdr_len, "header").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"bad header JSON: {e}", offset=16) from None
+    if not isinstance(header, dict):
+        raise ParseError(f"header is a JSON {type(header).__name__}, not an object", offset=16)
     (count,) = struct.unpack("<I", take(4, "record count"))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
+        name_at = off
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("record name is not UTF-8", offset=name_at) from None
+        if name in arrays:
+            raise ParseError(f"record {name!r} appears twice", offset=name_at)
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
         n = int(np.prod(dims)) if ndim else 1

@@ -142,13 +142,14 @@ class Tape:
 
     Each record is ``(output, inputs, backward_fn)`` where ``backward_fn``
     maps the output gradient to a tuple of input gradients (None for
-    non-differentiable slots). Records are appended in execution order, so
-    every input of a record precedes it; ``backward`` visits each record
-    exactly once in reverse.
+    non-differentiable slots); a multi-output record holds a tuple of outputs
+    and passes the list of their gradients (None where there is none).
+    Records are appended in execution order, so every input of a record
+    precedes it; ``backward`` visits each record exactly once in reverse.
     """
 
     def __init__(self):
-        self.records: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        self.records: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -172,38 +173,39 @@ class Tape:
             seed = np.ones_like(output.data)
         output.accumulate_grad(np.asarray(seed, dtype=output.data.dtype))
         for out, inputs, backward_fn in reversed(self.records):
-            g = out.grad
-            if g is None:
+            multi = isinstance(out, tuple)
+            g = [o.grad for o in out] if multi else out.grad
+            handed = [gi for gi in (g if multi else [g]) if gi is not None]
+            if not handed:
                 continue
             grads = backward_fn(g)
-            handed: list[np.ndarray] = []
             for inp, gi in zip(inputs, grads):
                 if gi is None or not inp.requires_grad:
                     continue
-                if inp.grad is None and _owned(gi, inp, g, handed):
+                if inp.grad is None and _owned(gi, inp, handed):
                     inp.grad = gi
                 else:
                     inp.accumulate_grad(gi)
                 handed.append(gi)
 
 
-def _owned(gi: np.ndarray, inp: Tensor, g: np.ndarray, handed: list) -> bool:
+def _owned(gi: np.ndarray, inp: Tensor, handed: list) -> bool:
     """Whether a closure's gradient ``gi`` for ``inp`` can become ``inp.grad`` as is.
 
     Only a buffer the closure allocated itself qualifies: a passthrough or
-    view of the incoming ``g``, or a buffer already handed to another input
-    of the same record, would be shared, and ``.grad`` is later updated in
-    place.
+    view of an incoming output gradient, or a buffer already handed to
+    another input of the same record (``handed`` holds both), would be
+    shared, and ``.grad`` is later updated in place.
     """
     return (gi.dtype == inp.data.dtype and gi.shape == inp.data.shape
-            and gi.flags.writeable and not np.may_share_memory(gi, g)
-            and not any(np.may_share_memory(gi, h) for h in handed))
+            and gi.flags.writeable and not any(np.may_share_memory(gi, h) for h in handed))
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward_fn: Callable) -> Tensor:
+def _record(out, inputs: Sequence[Tensor], backward_fn: Callable):
     for t in inputs:
         if t.requires_grad:
-            out.requires_grad = True
+            for o in out if isinstance(out, tuple) else (out,):
+                o.requires_grad = True
             tape = active_tape()
             if tape is not None:
                 tape.records.append((out, tuple(inputs), backward_fn))
@@ -487,18 +489,20 @@ def transpose(a: Tensor, axes) -> Tensor:
     return _record(out, (a,), lambda g: (np.ascontiguousarray(g.transpose(inv)),))
 
 
-def slice_lastdim(a: Tensor, start: int, stop: int) -> Tensor:
-    d = a.data.shape[-1]
-    if not (0 <= start < stop <= d):
-        raise ShapeError(f"slice_lastdim [{start}:{stop}] out of range for last extent {d}")
-    out = Tensor(np.ascontiguousarray(a.data[..., start:stop]))
+def split_lastdim(a: Tensor, n: int) -> tuple[Tensor, ...]:
+    """Cut the last axis of ``a`` into ``n`` equal groups: n views, one record."""
+    if n < 1 or a.data.shape[-1] % n:
+        raise ShapeError(f"split_lastdim: last extent {a.data.shape[-1]} does not split into {n} groups")
+    w = a.data.shape[-1] // n
+    outs = tuple(Tensor(a.data[..., i * w:(i + 1) * w]) for i in range(n))
 
-    def bw(g):
-        full = np.zeros_like(a.data)
-        full[..., start:stop] = g
+    def bw(gs):
+        full = np.empty_like(a.data)
+        for i, g in enumerate(gs):
+            full[..., i * w:(i + 1) * w] = 0.0 if g is None else g
         return (full,)
 
-    return _record(out, (a,), bw)
+    return _record(outs, (a,), bw)
 
 
 def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -532,39 +536,61 @@ def softmax_lastdim(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """Scaled dot-product self-attention on (B, T, heads, head_dim) projections.
+def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """RoPE: turn the interleaved (even, odd) pairs of the last axis; ``-sin`` undoes it."""
+    xe = x[..., 0::2]
+    xo = x[..., 1::2]
+    y = np.empty(x.shape, dtype=x.dtype)
+    y[..., 0::2] = xe * cos - xo * sin
+    y[..., 1::2] = xe * sin + xo * cos
+    return y
 
-    softmax(q k^T / sqrt(head_dim)) v per batch row and head, returned in the
-    same (B, T, heads, head_dim) layout. Scores, softmax and context are one
-    record; the (B, heads, T, T) probabilities are kept for the backward.
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              rope: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
+    """softmax(q k^T / sqrt(head_dim)) v per head on (B, T, D) projections, returned as (B, T, D).
+
+    ``rope``, the (T, 1, head_dim // 2) tables of ``blocks.rope_tables``,
+    rotates q and k first. Head split and merge, rotation, scores, softmax
+    and context are one record; the probabilities are kept for the backward.
     """
-    if q.ndim != 4 or q.shape != k.shape or q.shape != v.shape:
+    if q.ndim != 3 or q.shape != k.shape or q.shape != v.shape or q.shape[-1] % heads:
         raise ShapeError(
-            f"attention needs equal (B, T, heads, head_dim) shapes, got "
+            f"attention needs equal (B, T, D) shapes with D divisible by {heads} heads, got "
             f"{tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}"
         )
-    sc = 1.0 / math.sqrt(q.shape[-1])
-    qt = q.data.transpose(0, 2, 1, 3)  # (B, heads, T, head_dim) views
-    kt = k.data.transpose(0, 2, 1, 3)
-    vt = v.data.transpose(0, 2, 1, 3)
+    B, T, D = q.shape
+    hd = D // heads
+    split = (B, T, heads, hd)
+    qh, kh = q.data.reshape(split), k.data.reshape(split)
+    if rope is not None:
+        cos, sin = rope
+        if hd % 2 or cos.shape != (T, 1, hd // 2) or sin.shape != cos.shape:
+            raise ShapeError(f"attention: RoPE tables {cos.shape}/{sin.shape} do not fit {split}")
+        qh, kh = _rotate(qh, cos, sin), _rotate(kh, cos, sin)
+    sc = 1.0 / math.sqrt(hd)
+    qt = qh.transpose(0, 2, 1, 3)  # (B, heads, T, head_dim) views
+    kt = kh.transpose(0, 2, 1, 3)
+    vt = v.data.reshape(split).transpose(0, 2, 1, 3)
     p = _forward_gemm(qt, kt.swapaxes(-1, -2))
     p *= sc
     p -= p.max(axis=-1, keepdims=True)
     np.exp(p, out=p)
     p /= _rowdot(p, np.ones(p.shape[-1], dtype=p.dtype))
-    out = Tensor(np.ascontiguousarray(_forward_gemm(p, vt).transpose(0, 2, 1, 3)))
+    out = Tensor(np.ascontiguousarray(_forward_gemm(p, vt).transpose(0, 2, 1, 3)).reshape(B, T, D))
 
     def bw(g):
-        gt = g.transpose(0, 2, 1, 3)
+        gt = g.reshape(split).transpose(0, 2, 1, 3)
         gv = np.matmul(p.swapaxes(-1, -2), gt)
         ds = np.matmul(gt, vt.swapaxes(-1, -2))
         ds -= _rowdot(ds, p)
         ds *= p
         ds *= sc
-        gq = np.matmul(ds, kt)
-        gk = np.matmul(ds.swapaxes(-1, -2), qt)
-        return tuple(np.ascontiguousarray(gi.transpose(0, 2, 1, 3)) for gi in (gq, gk, gv))
+        merge = np.ascontiguousarray if rope is None else (lambda a: _rotate(a, cos, -sin))
+        gq = merge(np.matmul(ds, kt).transpose(0, 2, 1, 3))
+        gk = merge(np.matmul(ds.swapaxes(-1, -2), qt).transpose(0, 2, 1, 3))
+        gv = np.ascontiguousarray(gv.transpose(0, 2, 1, 3))
+        return gq.reshape(q.shape), gk.reshape(q.shape), gv.reshape(q.shape)
 
     return _record(out, (q, k, v), bw)
 
@@ -627,33 +653,6 @@ def modulated_rms_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         return gx, ggamma, gbeta
 
     return _record(out, (x, gamma, beta), bw)
-
-
-def rope_2d(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    """Rotate the interleaved (even, odd) pairs of the last axis of (..., T, heads, head_dim).
-
-    ``cos`` and ``sin`` are (T, 1, head_dim // 2) tables of the rotation
-    angles (``blocks.rope_tables``), broadcast over heads.
-    """
-    T, hd = x.data.shape[-3], x.data.shape[-1]
-    if hd % 2 or cos.shape != (T, 1, hd // 2) or sin.shape != cos.shape:
-        raise ShapeError(f"rope_2d: tables {cos.shape}/{sin.shape} do not fit x {x.data.shape}")
-    xe = x.data[..., 0::2]
-    xo = x.data[..., 1::2]
-    y = np.empty_like(x.data)
-    y[..., 0::2] = xe * cos - xo * sin
-    y[..., 1::2] = xe * sin + xo * cos
-    out = Tensor(y)
-
-    def bw(g):
-        ge = g[..., 0::2]
-        go = g[..., 1::2]
-        gx = np.empty_like(g)
-        gx[..., 0::2] = ge * cos + go * sin
-        gx[..., 1::2] = -ge * sin + go * cos
-        return (gx,)
-
-    return _record(out, (x,), bw)
 
 
 # ---------------------------------------------------------------------------

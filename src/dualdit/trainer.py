@@ -169,10 +169,14 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
     header, arrays = ckpt.load(path)
     if header.get("kind") != "train_state":
         raise ConfigError(f"{path} is not a training checkpoint")
+    # check every record before assigning any, so a bad checkpoint changes nothing
+    kinds = ("param", "adam_m", "adam_v", "ema")
+    checked = {(kind, name): ckpt.get_record(arrays, f"{kind}.{name}", t.shape)
+               for name, t in state.params.items() for kind in kinds}
     for name, t in state.params.items():
-        t.data[...] = ckpt.get_record(arrays, f"param.{name}", t.shape)
-        for kind, records in (("adam_m", state.m), ("adam_v", state.v), ("ema", state.ema)):
-            records[name] = ckpt.get_record(arrays, f"{kind}.{name}", t.shape).astype(t.data.dtype)
+        t.data[...] = checked["param", name]
+        for kind, records in zip(kinds[1:], (state.m, state.v, state.ema)):
+            records[name] = checked[kind, name].astype(t.data.dtype)
     state.step = int(header["step"])
     state.skipped_steps = int(header["skipped_steps"])
     state.consecutive_bad = int(header["consecutive_bad"])

@@ -33,9 +33,8 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
     w43 = _rand((4, 3), 100, requires_grad=False)
     w34 = _rand((3, 4), 101, requires_grad=False)
     w26 = _rand((2, 6), 102, requires_grad=False)
-    w42 = _rand((4, 2), 106, requires_grad=False)
-    wrope = _rand((1, 4, 2, 8), 103, requires_grad=False)
-    rope = B.rope_tables(B.grid_positions(2, 2), 8, np.float64)
+    w42s = [_rand((4, 2), 106 + 10 * i, requires_grad=False) for i in range(3)]
+    rope = B.rope_tables(B.grid_positions(2, 2), 4, np.float64)
 
     def check(fn, shape=(4, 3), seed=1, step=1e-5):
         return lambda: grad_check(fn, _rand(shape, seed), step=step)
@@ -50,9 +49,16 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
             )
         return run
 
+    def split_loss(used):
+        """Weighted outputs ``used`` of a 3-way split; the others stay unused."""
+        def f(x):
+            outs = T.split_lastdim(x, 3)
+            return sum(((outs[i] * w42s[i]).sum() for i in used), Tensor(0.0))
+        return f
+
     w235 = _rand((2, 3, 5), 107, requires_grad=False)
     w234 = _rand((2, 3, 4), 108, requires_grad=False)
-    w1424 = _rand((1, 4, 2, 4), 109, requires_grad=False)
+    w148 = _rand((1, 4, 8), 109, requires_grad=False)
 
     return [
         ("add", check(lambda x: (T.add(x, w43) * w43).sum())),
@@ -67,10 +73,10 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
         ("matmul", check(lambda x: (T.matmul(x, w34) * Tensor(np.ones((4, 4)))).sum())),
         ("softmax_lastdim", check(lambda x: (T.softmax_lastdim(x) * w43).sum())),
         ("rms_norm", check(lambda x: (T.rms_norm(x, _rand((3,), 104, False)) * w43).sum())),
-        ("rope_2d", check(lambda x: (T.rope_2d(x, *rope) * wrope).sum(), shape=(1, 4, 2, 8), seed=2)),
         ("reshape", check(lambda x: (x.reshape(2, 6) * w26).sum())),
         ("transpose", check(lambda x: (x.transpose(1, 0) * w34).sum())),
-        ("slice_lastdim", check(lambda x: (T.slice_lastdim(x, 1, 3) * w42).sum() + T.slice_lastdim(x, 0, 2).sum())),
+        ("split_lastdim", lambda: max(grad_check(split_loss(used), _rand((4, 6), 5))
+                                      for used in ((0,), (1,), (2,), (0, 1, 2)))),
         ("gather_rows", check(lambda x: (T.gather_rows(x, np.array([0, 2, 2, 1])) * w43).sum(), shape=(3, 3), seed=3)),
         ("sum", check(lambda x: (x.sum(axis=0) * _rand((3,), 105, False)).sum())),
         ("mean", check(lambda x: x.mean())),
@@ -81,8 +87,10 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
             [(2, 3, 4), (2, 1, 4), (2, 1, 4)], seed=7)),
         ("gated_residual", check_each(lambda x, alpha, y: (T.gated_residual(x, alpha, y) * w234).sum(),
                                       [(2, 3, 4), (2, 1, 4), (2, 3, 4)], seed=10)),
-        ("attention", check_each(lambda q, k, v: (T.attention(q, k, v) * w1424).sum(),
-                                 [(1, 4, 2, 4)] * 3, seed=13)),
+        ("attention", check_each(lambda q, k, v: (T.attention(q, k, v, 2) * w148).sum(),
+                                 [(1, 4, 8)] * 3, seed=13)),
+        ("attention_rope", check_each(lambda q, k, v: (T.attention(q, k, v, 2, rope) * w148).sum(),
+                                      [(1, 4, 8)] * 3, seed=16)),
     ]
 
 

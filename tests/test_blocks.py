@@ -54,19 +54,19 @@ class TestGridPositions:
 
 
 class TestRope2d:
+    """The rotation helper attention applies to q and k, and its table checks."""
+
     def test_origin_token_unchanged(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 4, 1, 8)))
-        y = T.rope_2d(x, *grid_rope(2, 2))
-        np.testing.assert_allclose(y.data[0, 0], x.data[0, 0], atol=1e-15)
+        x = rng.normal(size=(1, 4, 1, 8))
+        y = T._rotate(x, *grid_rope(2, 2))
+        np.testing.assert_allclose(y[0, 0], x[0, 0], atol=1e-15)
 
     def test_isometry_per_token(self):
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(2, 9, 3, 8)))
-        y = T.rope_2d(x, *grid_rope(3, 3))
-        np.testing.assert_allclose(
-            np.linalg.norm(y.data, axis=-1), np.linalg.norm(x.data, axis=-1), atol=1e-12
-        )
+        x = rng.normal(size=(2, 9, 3, 8))
+        y = T._rotate(x, *grid_rope(3, 3))
+        np.testing.assert_allclose(np.linalg.norm(y, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-12)
 
     def test_inner_product_depends_on_offset_only(self):
         # brute force over a 3x3 grid: translate both tokens by one cell
@@ -78,7 +78,7 @@ class TestRope2d:
         def rotated(v, r, c):
             grid = np.zeros((1, 9, 1, 8))
             grid[0, r * 3 + c, 0] = v
-            return T.rope_2d(Tensor(grid), *rope).data[0, r * 3 + c, 0]
+            return T._rotate(grid, *rope)[0, r * 3 + c, 0]
 
         base = rotated(q, 0, 1) @ rotated(k, 1, 0)
         shifted = rotated(q, 1, 2) @ rotated(k, 2, 1)
@@ -87,13 +87,27 @@ class TestRope2d:
         other = rotated(q, 1, 0) @ rotated(k, 0, 1)
         assert abs(base - other) > 1e-6
 
+    def test_attention_rotates_q_and_k(self):
+        rng = np.random.default_rng(3)
+        q, k, v = (rng.normal(size=(2, 4, 16)) for _ in range(3))
+        rope = grid_rope(2, 2)
+
+        def rot(a):
+            return Tensor(T._rotate(a.reshape(2, 4, 2, 8), *rope).reshape(2, 4, 16))
+
+        out = T.attention(Tensor(q), Tensor(k), Tensor(v), 2, rope)
+        np.testing.assert_array_equal(out.data, T.attention(rot(q), rot(k), Tensor(v), 2).data)
+        assert out.data.flags.c_contiguous and out.shape == (2, 4, 16)
+
     def test_bad_sequence_length(self):
+        x = Tensor(np.zeros((1, 5, 8)))
         with pytest.raises(ShapeError, match="do not fit"):
-            T.rope_2d(Tensor(np.zeros((1, 5, 1, 8))), *grid_rope(2, 2))
+            T.attention(x, x, x, 1, grid_rope(2, 2))
 
     def test_tables_of_another_head_dim_raise(self):
+        x = Tensor(np.zeros((1, 4, 8)))
         with pytest.raises(ShapeError, match="do not fit"):
-            T.rope_2d(Tensor(np.zeros((1, 4, 1, 8))), *grid_rope(2, 2, head_dim=4))
+            T.attention(x, x, x, 1, grid_rope(2, 2, head_dim=4))
 
 
 def naive_attention(x, p, heads):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dualdit import blocks as B
+from dualdit import flow as F
+from dualdit import model as M
 from dualdit import tensor as T
 from dualdit.errors import ShapeError
 from dualdit.tensor import Tape, Tensor, grad_check
@@ -100,7 +102,7 @@ class TestGradChecks:
             ("rms_norm", lambda x: (T.rms_norm(x) * rand((4, 3), 11)).sum()),
             ("reshape", lambda x: (x.reshape(2, 6) * rand((2, 6), 13)).sum()),
             ("transpose", lambda x: (x.transpose(1, 0) * rand((3, 4), 15)).sum()),
-            ("slice", lambda x: T.slice_lastdim(x, 1, 3).sum()),
+            ("slice", lambda x: T.split_lastdim(x, 3)[1].sum()),
             ("mean", lambda x: x.mean()),
             ("sum_axis", lambda x: (x.sum(axis=0) * rand((3,), 17)).sum()),
         ],
@@ -132,9 +134,12 @@ class TestGradChecks:
         assert grad_check(lambda t: T.matmul(a, t).sum(), b) <= 1e-6
 
     def test_rope_grad(self):
-        x = rand((2, 4, 2, 8), seed=51)  # (B, T, heads, hd), 2x2 grid
+        # the rotation's backward runs inside attention's; q and k pass through it
+        q, k, v = (rand((2, 4, 16), seed=51 + i) for i in range(3))  # (B, T, 2 heads x 8), 2x2 grid
         rope = B.rope_tables(B.grid_positions(2, 2), 8, np.float64)
-        assert grad_check(lambda t: (T.rope_2d(t, *rope) * rand((2, 4, 2, 8), 52)).sum(), x) <= 1e-6
+        w = rand((2, 4, 16), 54)
+        assert grad_check(lambda t: (T.attention(t, k, v, 2, rope) * w).sum(), q) <= 1e-6
+        assert grad_check(lambda t: (T.attention(q, t, v, 2, rope) * w).sum(), k) <= 1e-6
 
 
 class TestTapeSemantics:
@@ -169,15 +174,20 @@ class TestTapeSemantics:
             tape.backward(y)
 
     def test_records_topologically_ordered(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
         with Tape() as tape:
             y = x * x
-            z = (y + x).sum()
-        outs = [id(rec[0]) for rec in tape.records]
-        for out, inputs, _ in tape.records:
+            a, b = T.split_lastdim(y + x, 2)  # one record, two outputs
+            z = (a * b + a).sum()
+        assert any(isinstance(rec[0], tuple) for rec in tape.records)
+        made_by = {}
+        for i, (out, _, _) in enumerate(tape.records):
+            for o in out if isinstance(out, tuple) else (out,):
+                made_by[id(o)] = i
+        for i, (_, inputs, _) in enumerate(tape.records):
             for inp in inputs:
-                if inp.requires_grad and id(inp) in outs:
-                    assert outs.index(id(inp)) < outs.index(id(out))
+                if inp.requires_grad and id(inp) in made_by:
+                    assert made_by[id(inp)] < i
         del z
 
 
@@ -263,6 +273,79 @@ class TestGradOwnership:
         tape.backward(out)
         a.grad += 1.0
         np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
+
+
+class TestMultiOutputRecords:
+    """One record with several outputs: T.split_lastdim and Tape.backward around it."""
+
+    def test_views_in_order(self):
+        theta = Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)
+        with Tape() as tape:
+            parts = T.split_lastdim(theta, 3)
+        assert len(tape) == 1
+        for i, part in enumerate(parts):
+            assert part.requires_grad and np.shares_memory(part.data, theta.data)
+            np.testing.assert_array_equal(part.data, theta.data[:, 2 * i:2 * i + 2])
+        with pytest.raises(ShapeError, match="does not split"):
+            T.split_lastdim(theta, 4)
+
+    def test_two_of_six_outputs_match_central_differences(self):
+        x = rand((3, 12), 21)
+        w1, w4 = rand((3, 2), 22), rand((3, 2), 23)
+
+        def loss():
+            parts = T.split_lastdim(x, 6)
+            return (parts[1] * w1).sum() + (T.gelu_tanh(parts[4]) * w4).sum()
+
+        backward(loss)
+        np.testing.assert_allclose(x.grad, fd_grad(loss, x), rtol=1e-7, atol=1e-9)
+        unused = np.ones(12, dtype=bool)
+        unused[2:4] = unused[8:10] = False
+        np.testing.assert_array_equal(x.grad[:, unused], 0.0)
+
+    def test_two_backward_passes_accumulate(self):
+        x = rand((2, 6), 24)
+        w = rand((2, 2), 25)
+
+        def loss():
+            a, b, c = T.split_lastdim(x, 3)
+            return (a * w + T.silu(c) * b).sum()
+
+        backward(loss)
+        first = x.grad.copy()
+        backward(loss)
+        np.testing.assert_allclose(x.grad, 2.0 * fd_grad(loss, x), rtol=1e-6, atol=1e-9)
+        np.testing.assert_array_equal(x.grad, 2.0 * first)
+
+    @pytest.mark.parametrize("passed", [0, 1])
+    def test_output_gradient_is_never_adopted(self, passed):
+        # a closure that passes one output's gradient through as its input's
+        x = rand((2, 3), 26)
+        w = rand((2, 3), 27)
+        outs = (Tensor(x.data.copy()), Tensor(x.data.copy()))
+        with Tape() as tape:
+            T._record(outs, (x,), lambda gs: (gs[passed],))
+            loss = (outs[0] * w + outs[1] * outs[1]).sum()
+        tape.backward(loss)
+        assert not np.may_share_memory(x.grad, outs[passed].grad)
+        want = outs[passed].grad.copy()
+        x.grad += 1.0  # .grad is updated in place later; the output's must not move
+        np.testing.assert_array_equal(outs[passed].grad, want)
+
+
+class TestTapeSize:
+    def test_desk_loss_step_records(self):
+        # every primitive the loss of one criterion-8 train step records; a later
+        # unfused op shows up here
+        cfg = M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64, pixel_dim=8, heads=4,
+                            patch_size=4, num_classes=3, resolution=(16, 16), channels=3)
+        model = M.DualLevelModel(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        x0 = rng.uniform(-1.0, 1.0, size=(64, 3, 16, 16)).astype(np.float32)
+        batch = F.make_flow_batch(x0, rng, F.logit_normal_sampler())
+        with Tape() as tape:
+            F.loss_diffusion(model, batch, rng.integers(0, 3, 64), drop_rng=rng, drop_prob=0.1)
+        assert len(tape) == 123
 
 
 class TestPrimitiveRegistry:

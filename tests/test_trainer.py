@@ -1,12 +1,14 @@
 """Optimizer oracles, EMA, clipping, loop determinism, checkpoint resume."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from dualdit import checkpoint as C
 from dualdit import data as D
 from dualdit import trainer as TR
-from dualdit.errors import ConfigError, NumericError, ShapeError
+from dualdit.errors import ConfigError, NumericError, ParseError, ShapeError
 from dualdit.model import DualLevelModel, toy_config
 from dualdit.tensor import Tensor
 
@@ -262,6 +264,30 @@ class TestCheckpointing:
         with pytest.raises(ConfigError, match=rf"lacks record '{name}'"):
             TR.restore_state(model, TR.init_state(model, cfg), ck)
 
+    def test_failed_restore_changes_nothing(self, tmp_path):
+        model, dataset, cfg = tiny_setup(total_steps=2)
+        TR.train(model, dataset, cfg, checkpoint_dir=tmp_path)
+        ck = tmp_path / "final.ckpt"
+        header, arrays = C.load(ck)
+        del arrays["ema.pixel_head.b"]  # the last record restore_state checks
+        C.save(ck, header, arrays)
+        fresh, _, _ = tiny_setup(total_steps=2, seed=1)
+        state = TR.init_state(fresh, cfg)
+
+        def arrays_of(state):
+            out = {("param", name): t.data for name, t in state.params.items()}
+            for kind, records in (("m", state.m), ("v", state.v), ("ema", state.ema)):
+                out.update({(kind, name): a for name, a in records.items()})
+            return out
+
+        before = {key: a.copy() for key, a in arrays_of(state).items()}
+        with pytest.raises(ConfigError, match="'ema.pixel_head.b'"):
+            TR.restore_state(fresh, state, ck)
+        after = arrays_of(state)
+        assert after.keys() == before.keys()
+        for key, a in before.items():
+            assert after[key].tobytes() == a.tobytes(), key
+
     def test_load_model_checks_the_records_it_reads(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=1)
         state = TR.train(model, dataset, cfg)
@@ -294,3 +320,42 @@ class TestCheckpointing:
         lines = path.read_text().splitlines()
         assert lines[0] == "step,loss,loss_diff,loss_repa,grad_norm,lr"
         assert len(lines) == 3
+
+
+class TestCheckpointFormat:
+    """A malformed checkpoint raises ParseError with the byte offset, nothing else."""
+
+    def saved(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        C.save(path, {"kind": "test"}, {"rec_a": np.zeros(2), "rec_b": np.zeros(2)})
+        return path, path.read_bytes()
+
+    def test_round_trip(self, tmp_path):
+        path, _ = self.saved(tmp_path)
+        header, arrays = C.load(path)
+        assert header["kind"] == "test" and sorted(arrays) == ["rec_a", "rec_b"]
+
+    def test_record_name_not_utf8(self, tmp_path):
+        path, blob = self.saved(tmp_path)
+        at = blob.index(b"rec_b")
+        path.write_bytes(blob[:at] + b"\xff\xfe\xfd\xfc\xfb" + blob[at + 5:])
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            C.load(path)
+        assert exc.value.offset == at
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "c.ckpt"
+        hdr = b"[1]"
+        path.write_bytes(C.MAGIC + struct.pack("<II", C.FORMAT_VERSION, len(hdr)) + hdr
+                         + struct.pack("<I", 0))
+        with pytest.raises(ParseError, match="not an object") as exc:
+            C.load(path)
+        assert exc.value.offset == 16
+
+    def test_duplicate_record_name(self, tmp_path):
+        path, blob = self.saved(tmp_path)
+        at = blob.index(b"rec_b")
+        path.write_bytes(blob[:at] + b"rec_a" + blob[at + 5:])
+        with pytest.raises(ParseError, match="'rec_a' appears twice") as exc:
+            C.load(path)
+        assert exc.value.offset == at
