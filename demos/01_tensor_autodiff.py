@@ -32,9 +32,14 @@ with Tape() as tape:
 tape.backward(out)
 print(f"d/dx of (x + x): {z.grad[0]:.1f}  (shared subexpressions accumulate)")
 
-# softmax rows sum to one no matter how extreme the logits
-s = T.softmax_lastdim(Tensor([[1000.0, 1000.0, -1000.0]]))
-print("softmax([1000, 1000, -1000]) =", np.round(s.data, 6), "(max-subtraction keeps it finite)")
+# attention's softmax stays finite however extreme the scores: one head of width
+# one, q = 1000 and keys (1, 1, -1) score every query (1000, 1000, -1000)
+q = Tensor(np.full((1, 3, 1), 1000.0))
+k = Tensor(np.array([1.0, 1.0, -1.0]).reshape(1, 3, 1))
+v = Tensor(np.array([2.0, 4.0, 100.0]).reshape(1, 3, 1))
+a = T.attention(q, k, v, 1)
+print("attention over scores (1000, 1000, -1000), values (2, 4, 100) =",
+      np.round(a.data.ravel(), 6), "(max-subtraction keeps it finite)")
 
 # the registered-primitive sweep used by `dualdit grad-check`
 from dualdit.verification import primitive_checks

@@ -1,4 +1,4 @@
-"""The transformer pieces: RMSNorm, 2D rotary embeddings, attention, AdaLN.
+"""The transformer pieces: 2D rotary embeddings, attention, AdaLN-gated blocks.
 
 Shows the two properties that make 2D RoPE the right positional scheme here
 (isometry and relative-offset dependence) and the identity-at-init behavior
@@ -41,8 +41,8 @@ store = B.ParamStore(np.random.default_rng(1), dtype=np.float64)
 params = B.make_attention_params(store, "attn", 8)
 for t in store.params.values():
     t.data[...] = rng.normal(scale=0.3, size=t.shape)
-cfg = B.AttentionConfig(2, 4, B.rope_tables(B.grid_positions(1, 3), 4, np.float64))
-out = B.multi_head_attention(Tensor(rng.normal(size=(1, 3, 8))), params, cfg)
+rope = B.rope_tables(B.grid_positions(1, 3), 4, np.float64)  # 2 heads of width 4
+out = B.multi_head_attention(Tensor(rng.normal(size=(1, 3, 8))), params, 2, rope)
 print("attention output shape:", out.shape)
 
 # --- gated blocks start as the identity ------------------------------------
@@ -55,9 +55,9 @@ for name, t in store.params.items():
 s = Tensor(rng.normal(size=(1, 4, 8)))
 c = Tensor(rng.normal(size=(1, 1, 8)))
 out = s
-bcfg = B.AttentionConfig(2, 4, B.rope_tables(B.grid_positions(2, 2), 4, np.float64))
+rope = B.rope_tables(B.grid_positions(2, 2), 4, np.float64)
 for p in blocks:
-    out = B.dit_block(out, c, p, bcfg)
+    out = B.dit_block(out, c, p, 2, rope)
 print("4-block stack at init is the identity:", bool(np.all(out.data == s.data)))
 print("(the residual gates are zero-initialized; the gammas start at one so")
 print(" the gates still receive gradient and the stack can leave the identity)")

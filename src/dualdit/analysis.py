@@ -81,6 +81,8 @@ def estimate_flops(cfg: ModelConfig, resolution: Optional[tuple[int, int]] = Non
     """Per-forward FLOPs for a single sample at the given resolution."""
     H, W = resolution or cfg.resolution
     p, D_, Dp, C = cfg.patch_size, cfg.patch_dim, cfg.pixel_dim, cfg.channels
+    if H < 1 or W < 1:
+        raise ConfigError(f"resolution {(H, W)} must be positive")
     if H % p or W % p:
         raise ConfigError(f"resolution {(H, W)} not divisible by patch {p}")
     L = (H // p) * (W // p)

@@ -1,5 +1,8 @@
 """Reusable transformer pieces: attention with 2D RoPE, MLP, AdaLN modulation.
 
+The arithmetic runs in the fused ``dualdit.tensor`` primitives. The model
+decides ``heads`` and the RoPE tables once and passes them to each block.
+
 Blocks are pure functions over parameter containers; the containers hold
 named ``Tensor`` leaves registered in a ``ParamStore`` so every learnable
 value has a stable checkpoint key.
@@ -13,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .tensor import Tensor
 
 
@@ -25,22 +28,22 @@ class ParamStore:
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
 
-    def tensor(self, name: str, shape, init: str = "normal", std: float = 0.02) -> Tensor:
+    def tensor(self, name: str, shape, init: str = "normal") -> Tensor:
+        """A new leaf, all zeros or drawn from N(0, 0.02^2)."""
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name!r}")
         if init == "zeros":
             data = np.zeros(shape, dtype=self.dtype)
         elif init == "normal":
-            data = (self.rng.normal(scale=std, size=shape)).astype(self.dtype)
+            data = (self.rng.normal(scale=0.02, size=shape)).astype(self.dtype)
         else:
             raise ConfigError(f"unknown init {init!r}")
         t = Tensor(data, requires_grad=True)
         self.params[name] = t
         return t
 
-    def linear(self, name: str, d_in: int, d_out: int, init: str = "normal",
-               std: float = 0.02) -> "LinearParams":
-        w = self.tensor(f"{name}.w", (d_in, d_out), init=init, std=std)
+    def linear(self, name: str, d_in: int, d_out: int, init: str = "normal") -> "LinearParams":
+        w = self.tensor(f"{name}.w", (d_in, d_out), init=init)
         b = self.tensor(f"{name}.b", (d_out,), init="zeros")
         return LinearParams(w=w, b=b)
 
@@ -87,21 +90,6 @@ def rope_tables(positions: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray
 
 
 @dataclass
-class AttentionConfig:
-    heads: int
-    head_dim: int
-    rope: Optional[tuple[np.ndarray, np.ndarray]] = None  # rope_tables(...); None: no RoPE
-
-    def __post_init__(self):
-        if self.heads < 1 or self.head_dim < 1:
-            raise ConfigError("attention needs positive heads and head_dim")
-
-    @property
-    def width(self) -> int:
-        return self.heads * self.head_dim
-
-
-@dataclass
 class AttentionParams:
     q: LinearParams
     k: LinearParams
@@ -118,12 +106,13 @@ def make_attention_params(store: ParamStore, name: str, width: int) -> Attention
     )
 
 
-def multi_head_attention(x: Tensor, params: AttentionParams, cfg: AttentionConfig) -> Tensor:
-    """Scaled dot-product attention over (B, T, D) with per-head softmax."""
-    D = x.shape[-1]
-    if D != cfg.width:
-        raise ShapeError(f"attention width mismatch: input {D}, config {cfg.width}")
-    a = T.attention(linear(x, params.q), linear(x, params.k), linear(x, params.v), cfg.heads, cfg.rope)
+def multi_head_attention(x: Tensor, params: AttentionParams, heads: int,
+                         rope: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
+    """Scaled dot-product attention over (B, T, D) with per-head softmax.
+
+    ``rope``, the ``rope_tables`` of the token grid, rotates q and k; None: no RoPE.
+    """
+    a = T.attention(linear(x, params.q), linear(x, params.k), linear(x, params.v), heads, rope)
     return linear(a, params.o)
 
 
@@ -133,11 +122,11 @@ class MlpParams:
     fc2: LinearParams
 
 
-def make_mlp_params(store: ParamStore, name: str, width: int, hidden_ratio: float = 4.0) -> MlpParams:
-    hidden = int(round(hidden_ratio * width))
+def make_mlp_params(store: ParamStore, name: str, width: int) -> MlpParams:
+    """width -> 4 width -> width."""
     return MlpParams(
-        fc1=store.linear(f"{name}.fc1", width, hidden),
-        fc2=store.linear(f"{name}.fc2", hidden, width),
+        fc1=store.linear(f"{name}.fc1", width, 4 * width),
+        fc2=store.linear(f"{name}.fc2", 4 * width, width),
     )
 
 
@@ -203,11 +192,15 @@ def make_dit_block_params(store: ParamStore, name: str, width: int) -> DitBlockP
     return params
 
 
-def dit_block(s: Tensor, c: Tensor, params: DitBlockParams, cfg: AttentionConfig) -> Tensor:
+def dit_block(s: Tensor, c: Tensor, params: DitBlockParams, heads: int,
+              rope: Optional[tuple[np.ndarray, np.ndarray]] = None) -> Tensor:
     """One patch-pathway block with global AdaLN conditioning.
 
     s_bar = s + alpha1(c) * Attn(gamma1(c) * RMSNorm(s) + beta1(c); RoPE)
     s'    = s_bar + alpha2(c) * MLP(gamma2(c) * RMSNorm(s_bar) + beta2(c))
+
+    RMSNorm and the gamma/beta modulation are one ``T.modulated_rms_norm``
+    record, the gated sums one ``T.gated_residual`` record each.
 
     The six groups come from a linear head on SiLU(c), broadcast over the
     token axis. The head starts with zero weights and a scale-one bias
@@ -217,6 +210,6 @@ def dit_block(s: Tensor, c: Tensor, params: DitBlockParams, cfg: AttentionConfig
     D = s.shape[-1]
     mods = split_modulation(linear(T.silu(c), params.ada), D)
     h = T.modulated_rms_norm(s, mods.gamma1, mods.beta1)
-    s = T.gated_residual(s, mods.alpha1, multi_head_attention(h, params.attn, cfg))
+    s = T.gated_residual(s, mods.alpha1, multi_head_attention(h, params.attn, heads, rope))
     h = T.modulated_rms_norm(s, mods.gamma2, mods.beta2)
     return T.gated_residual(s, mods.alpha2, mlp(h, params.mlp))

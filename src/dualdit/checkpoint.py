@@ -21,7 +21,9 @@ produces byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 import struct
 from typing import Any
 
@@ -34,22 +36,37 @@ FORMAT_VERSION = 1
 
 
 def save(path, header: dict[str, Any], arrays: dict[str, np.ndarray]):
+    """Write a checkpoint that replaces ``path`` atomically.
+
+    The bytes go to ``path + ".tmp"`` in the same directory, reach the disk
+    (fsync), and only then take the place of ``path``; a save that fails
+    removes the temporary file, so an earlier checkpoint at ``path`` survives.
+    """
     header = dict(header)
     header["format_version"] = FORMAT_VERSION
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(hdr)))
-        f.write(hdr)
-        f.write(struct.pack("<I", len(arrays)))
-        for name in sorted(arrays):
-            arr = np.ascontiguousarray(arrays[name], dtype="<f4")
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(MAGIC)
+            f.write(struct.pack("<II", FORMAT_VERSION, len(hdr)))
+            f.write(hdr)
+            f.write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype="<f4")
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<H", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<B", arr.ndim))
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:

@@ -24,16 +24,22 @@ from .samplers import SamplerConfig, sample
 from .verification import run_suite
 
 
-def _pair(sep: str, kind):
-    """argparse ``type=`` for two ``kind`` values joined by ``sep``, e.g. ``16x16``."""
+def _pair(sep: str, kind, least=None):
+    """argparse ``type=`` for two ``kind`` values joined by ``sep``, e.g. ``16x16``.
+
+    With ``least`` given, both values must be at least that.
+    """
 
     def parse(text: str) -> tuple:
         try:
             a, b = text.lower().split(sep)
-            return kind(a), kind(b)
+            pair = kind(a), kind(b)
         except ValueError:
             raise argparse.ArgumentTypeError(
                 f"expected two {kind.__name__} values joined by {sep!r}, got {text!r}") from None
+        if least is not None and min(pair) < least:
+            raise argparse.ArgumentTypeError(f"expected values >= {least}, got {text!r}")
+        return pair
 
     return parse
 
@@ -70,6 +76,8 @@ def cmd_sample(args) -> int:
                             cfg_interval=args.interval, shift_alpha=args.shift, seed=args.seed)
     except ConfigError as e:
         args.usage_error(str(e))  # exits 2 before any checkpoint is opened
+    if args.count < 1:
+        args.usage_error(f"--count must be >= 1, got {args.count}")
     model = TR.load_model(args.checkpoint, use_ema=not args.raw_params)
     y = np.full(args.count, args.class_id, dtype=np.int64)
     images = sample(model, cfg, y)
@@ -202,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         source.add_argument("--preset", choices=sorted(PRESETS))
         source.add_argument("--config")
         if name == "flops":
-            p.add_argument("--resolution", type=_pair("x", int), metavar="HxW",
+            p.add_argument("--resolution", type=_pair("x", int, least=1), metavar="HxW",
                            help="defaults to the config resolution")
         p.set_defaults(fn=fn)
 

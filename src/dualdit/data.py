@@ -154,6 +154,8 @@ def read_image(path) -> np.ndarray:
         W, H, maxval = int(token()), int(token()), int(token())
     except ValueError:
         raise ParseError("non-integer value in header", offset=pos) from None
+    if W < 1 or H < 1:
+        raise ParseError(f"width and height must be positive, got {W}x{H}", offset=pos)
     if maxval != 255:
         raise ParseError(f"only maxval 255 supported, got {maxval}", offset=pos)
     pos += 1  # single whitespace byte after maxval

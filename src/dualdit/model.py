@@ -180,9 +180,7 @@ class DualLevelModel:
             for i in range(cfg.patch_depth)
         ]
         head_dim = D // cfg.heads
-        self.patch_attn_cfg = B.AttentionConfig(
-            cfg.heads, head_dim, B.rope_tables(B.grid_positions(*cfg.grid), head_dim, self.dtype)
-        )
+        self.patch_rope = B.rope_tables(B.grid_positions(*cfg.grid), head_dim, self.dtype)
 
         self.pit_blocks: list[PitBlockParams] = []
         if cfg.variant == "vanilla_dit":
@@ -194,7 +192,7 @@ class DualLevelModel:
             for i in range(cfg.pixel_depth):
                 blk = PitBlockParams(
                     mod=store.linear(f"pit.{i}.mod", D, mod_width, init="zeros"),
-                    mlp=B.make_mlp_params(store, f"pit.{i}.mlp", Dp, hidden_ratio=4.0),
+                    mlp=B.make_mlp_params(store, f"pit.{i}.mlp", Dp),
                 )
                 B.init_modulation_head(blk.mod, Dp)
                 if has_attn:
@@ -205,11 +203,10 @@ class DualLevelModel:
                 self.pit_blocks.append(blk)
             self.pixel_head = store.linear("pixel_head", Dp, C, init="zeros")
             # the k tokens each patch compacts to share its cell
-            pixel_rope = None
+            self.pixel_rope = None
             if cfg.rope_pixel_pathway:
-                pixel_rope = B.rope_tables(B.grid_positions(*cfg.grid, cfg.ptc_rate),
-                                           head_dim, self.dtype)
-            self.pixel_attn_cfg = B.AttentionConfig(cfg.heads, head_dim, pixel_rope)
+                self.pixel_rope = B.rope_tables(B.grid_positions(*cfg.grid, cfg.ptc_rate),
+                                                head_dim, self.dtype)
 
         self.params = store.params
 
@@ -251,7 +248,7 @@ class DualLevelModel:
     def patch_pathway(self, s: Tensor, c: Tensor, outs: Optional[list] = None) -> Tensor:
         """Run the patch blocks; with ``outs`` given, append each block's output to it."""
         for blk in self.patch_blocks:
-            s = B.dit_block(s, c, blk, self.patch_attn_cfg)
+            s = B.dit_block(s, c, blk, self.config.heads, self.patch_rope)
             if outs is not None:
                 outs.append(s)
         return s
@@ -282,7 +279,7 @@ class DualLevelModel:
             u = u.reshape(Bsz, cfg.num_patches * k, D)
             if diag is not None:
                 diag["pixel_attention_tokens"] = u.shape[1]
-            a = B.multi_head_attention(u, blk.attn, self.pixel_attn_cfg)
+            a = B.multi_head_attention(u, blk.attn, cfg.heads, self.pixel_rope)
             y = B.linear(a.reshape(BL, k * D), blk.expand).reshape(BL, p2, Dp)
             X = T.gated_residual(X, mods.alpha1, y)
         h = T.modulated_rms_norm(X, mods.gamma2, mods.beta2)

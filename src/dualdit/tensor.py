@@ -100,20 +100,16 @@ class Tensor:
         return sub(_as_tensor(other, self.dtype), self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
         return mul(self, _as_tensor(other, self.dtype))
 
     def __rmul__(self, other):
-        return self.__mul__(other)
+        return mul(_as_tensor(other, self.dtype), self)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
         return div(self, _as_tensor(other, self.dtype))
 
     def __neg__(self):
-        return scale(self, -1.0)
+        return mul(self, _as_tensor(-1.0, self.dtype))
 
     def __matmul__(self, other):
         return matmul(self, _as_tensor(other, self.dtype))
@@ -260,7 +256,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data)
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     return _record(out, (a, b), bw)
 
@@ -270,7 +268,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data - b.data)
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        ga = _unbroadcast(g, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     return _record(out, (a, b), bw)
 
@@ -280,7 +280,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data)
 
     def bw(g):
-        return _unbroadcast(g * b.data, a.data.shape), _unbroadcast(g * a.data, b.data.shape)
+        ga = _unbroadcast(g * b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(g * a.data, b.data.shape) if b.requires_grad else None
+        return ga, gb
 
     return _record(out, (a, b), bw)
 
@@ -290,8 +292,8 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data / b.data)
 
     def bw(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape)
+        ga = _unbroadcast(g / b.data, a.data.shape) if a.requires_grad else None
+        gb = _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape) if b.requires_grad else None
         return ga, gb
 
     return _record(out, (a, b), bw)
@@ -312,17 +314,6 @@ def gated_residual(x: Tensor, alpha: Tensor, y: Tensor) -> Tensor:
         return g, galpha, gy
 
     return _record(out, (x, alpha, y), bw)
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(a.data * s)
-    return _record(out, (a,), lambda g: (g * s,))
-
-
-def texp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data))
-    return _record(out, (a,), lambda g: (g * out.data,))
 
 
 def tsqrt(a: Tensor) -> Tensor:
@@ -520,22 +511,6 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return _record(out, (table,), bw)
 
 
-def softmax_lastdim(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis (max subtraction)."""
-    if a.data.shape[-1] < 1:
-        raise ShapeError("softmax_lastdim requires last extent >= 1")
-    shifted = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def bw(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _record(out, (a,), bw)
-
-
 def _rotate(x: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """RoPE: turn the interleaved (even, odd) pairs of the last axis; ``-sin`` undoes it."""
     xe = x[..., 0::2]
@@ -554,7 +529,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
     rotates q and k first. Head split and merge, rotation, scores, softmax
     and context are one record; the probabilities are kept for the backward.
     """
-    if q.ndim != 3 or q.shape != k.shape or q.shape != v.shape or q.shape[-1] % heads:
+    if heads < 1 or q.ndim != 3 or q.shape != k.shape or q.shape != v.shape or q.shape[-1] % heads:
         raise ShapeError(
             f"attention needs equal (B, T, D) shapes with D divisible by {heads} heads, got "
             f"{tuple(q.shape)}, {tuple(k.shape)}, {tuple(v.shape)}"
@@ -596,33 +571,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
 
 
 RMS_EPS = 1e-6
-
-
-def rms_norm(x: Tensor, gain: Optional[Tensor] = None) -> Tensor:
-    """y = gain * x / sqrt(mean(x^2, last) + eps)."""
-    ms = (x.data * x.data).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(ms + RMS_EPS)
-    normed = x.data * inv
-    d = x.data.shape[-1]
-    if gain is None:
-        out = Tensor(normed)
-
-        def bw(g):
-            dot = (g * x.data).sum(axis=-1, keepdims=True)
-            return (g * inv - x.data * (inv**3) * dot / d,)
-
-        return _record(out, (x,), bw)
-
-    out = Tensor(normed * gain.data)
-
-    def bw(g):
-        gg = g * gain.data
-        dot = (gg * x.data).sum(axis=-1, keepdims=True)
-        gx = gg * inv - x.data * (inv**3) * dot / d
-        ggain = _unbroadcast(g * normed, gain.data.shape)
-        return gx, ggain
-
-    return _record(out, (x, gain), bw)
 
 
 def modulated_rms_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:

@@ -65,14 +65,10 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
         ("sub", check(lambda x: (T.sub(x, w43) * w43).sum())),
         ("mul", check(lambda x: (T.mul(x, w43) * w43).sum())),
         ("div", check(lambda x: (T.div(x, Tensor(np.full((4, 3), 2.0))) * w43).sum())),
-        ("scale", check(lambda x: T.scale(x, -2.5).sum())),
-        ("exp", check(lambda x: (T.texp(x) * w43).sum())),
         ("sqrt", check(lambda x: (T.tsqrt(x * x + Tensor(np.ones((4, 3)))) * w43).sum())),
         ("silu", check(lambda x: (T.silu(x) * w43).sum())),
         ("gelu_tanh", check(lambda x: (T.gelu_tanh(x) * w43).sum())),
         ("matmul", check(lambda x: (T.matmul(x, w34) * Tensor(np.ones((4, 4)))).sum())),
-        ("softmax_lastdim", check(lambda x: (T.softmax_lastdim(x) * w43).sum())),
-        ("rms_norm", check(lambda x: (T.rms_norm(x, _rand((3,), 104, False)) * w43).sum())),
         ("reshape", check(lambda x: (x.reshape(2, 6) * w26).sum())),
         ("transpose", check(lambda x: (x.transpose(1, 0) * w34).sum())),
         ("split_lastdim", lambda: max(grad_check(split_loss(used), _rand((4, 6), 5))
@@ -103,11 +99,11 @@ def block_checks() -> list[tuple[str, Callable[[], float]]]:
             t.data[...] = rng.normal(scale=0.2, size=t.shape)
         s = Tensor(rng.normal(size=(1, 4, 8)))
         c = Tensor(rng.normal(size=(1, 1, 8)))
-        cfg = B.AttentionConfig(2, 4, B.rope_tables(B.grid_positions(2, 2), 4, np.float64))
+        rope = B.rope_tables(B.grid_positions(2, 2), 4, np.float64)
         worst = 0.0
         for t in store.params.values():
             worst = max(worst, grad_check(
-                lambda _t: B.dit_block(s, c, params, cfg).sum(), t, step=1e-4))
+                lambda _t: B.dit_block(s, c, params, 2, rope).sum(), t, step=1e-4))
         return worst
 
     def pit():

@@ -70,6 +70,11 @@ class TestEstimateFlops:
             dataclasses.replace(PRESETS["XL"], variant="no_pixel_attention")).flops_forward
         assert ablated < full
 
+    @pytest.mark.parametrize("resolution", [(-256, 256), (0, 0)])
+    def test_non_positive_resolution_rejected(self, resolution):
+        with pytest.raises(ConfigError, match="must be positive"):
+            A.estimate_flops(PRESETS["B"], resolution)
+
     @pytest.mark.parametrize("p", [2, 4, 8, 16])
     def test_compaction_ratio_is_p4_exactly(self, p):
         assert A.compaction_flops_ratio(p) == p**4

@@ -1,4 +1,4 @@
-"""nn blocks: RMSNorm, 2D RoPE, attention vs naive oracle, AdaLN, DiT block."""
+"""nn blocks: the AdaLN norm, 2D RoPE, attention vs naive oracle, MLP, DiT block."""
 
 import math
 
@@ -15,26 +15,30 @@ def store(seed=0, dtype=np.float64):
     return B.ParamStore(np.random.default_rng(seed), dtype=dtype)
 
 
-def randomize(params_dict, rng, std=0.3):
+def randomize(params_dict, rng, scale=0.3):
     """Overwrite every parameter (including zero-init heads) with noise."""
     for t in params_dict.values():
-        t.data[...] = rng.normal(scale=std, size=t.shape)
+        t.data[...] = rng.normal(scale=scale, size=t.shape)
+
+
+def normalized(x):
+    """The AdaLN norm with gamma one and beta zero: plain RMS normalization."""
+    x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
+    return T.modulated_rms_norm(Tensor(x), Tensor(np.ones(d)), Tensor(np.zeros(d))).data
 
 
 class TestRmsNorm:
     def test_unit_vector_fixed_point(self):
-        out = T.rms_norm(Tensor([1.0, 1.0, 1.0, 1.0]), Tensor(np.ones(4)))
-        np.testing.assert_allclose(out.data, np.ones(4), atol=1e-6)
+        np.testing.assert_allclose(normalized([1.0, 1.0, 1.0, 1.0]), np.ones(4), atol=1e-6)
 
     def test_scale_invariant_direction(self):
-        out = T.rms_norm(Tensor([2.0, 2.0]), Tensor(np.ones(2)))
-        np.testing.assert_allclose(out.data, [1.0, 1.0], atol=1e-6)
+        np.testing.assert_allclose(normalized([2.0, 2.0]), [1.0, 1.0], atol=1e-6)
 
     def test_scalar_oracle(self):
         x = np.array([1.0, 2.0, 3.0])
         expected = x / math.sqrt((1 + 4 + 9) / 3 + 1e-6)
-        out = T.rms_norm(Tensor(x), Tensor(np.ones(3)))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+        np.testing.assert_allclose(normalized(x), expected, rtol=1e-12)
 
 
 def grid_rope(rows, cols, head_dim=8):
@@ -136,8 +140,7 @@ class TestAttention:
         rng = np.random.default_rng(4)
         randomize(st.params, rng)
         x = Tensor(rng.normal(size=(2, 1, 4)))
-        cfg = B.AttentionConfig(heads=1, head_dim=4)
-        out = B.multi_head_attention(x, p, cfg)
+        out = B.multi_head_attention(x, p, 1)
         v = x.data @ p.v.w.data + p.v.b.data
         expected = v @ p.o.w.data + p.o.b.data
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
@@ -151,8 +154,7 @@ class TestAttention:
         p.v.b.data[...] = 0.0
         p.o.b.data[...] = 0.0
         x = Tensor(rng.normal(size=(1, 3, 4)))
-        cfg = B.AttentionConfig(heads=2, head_dim=2)
-        out = B.multi_head_attention(x, p, cfg)
+        out = B.multi_head_attention(x, p, 2)
         np.testing.assert_allclose(out.data, 0.0, atol=1e-15)
 
     def test_matches_naive_loop_oracle(self):
@@ -161,9 +163,17 @@ class TestAttention:
         rng = np.random.default_rng(8)
         randomize(st.params, rng)
         x = Tensor(rng.normal(size=(1, 3, 4)))
-        cfg = B.AttentionConfig(heads=2, head_dim=2)
-        out = B.multi_head_attention(x, p, cfg)
+        out = B.multi_head_attention(x, p, 2)
         np.testing.assert_allclose(out.data, naive_attention(x.data, p, 2), atol=1e-10)
+
+    def test_bad_width_or_heads_raise(self):
+        # the width check is linear's, the heads check attention's
+        p = B.make_attention_params(store(15), "attn", 8)
+        with pytest.raises(ShapeError, match="disagree"):
+            B.multi_head_attention(Tensor(np.zeros((1, 3, 6))), p, 2)
+        for heads in (0, 3):
+            with pytest.raises(ShapeError, match="divisible"):
+                B.multi_head_attention(Tensor(np.zeros((1, 3, 8))), p, heads)
 
     def test_rope_requires_divisible_head_dim(self):
         with pytest.raises(ConfigError, match="divisible by 4"):
@@ -174,17 +184,17 @@ class TestAttention:
         p = B.make_attention_params(st, "attn", 8)
         rng = np.random.default_rng(10)
         randomize(st.params, rng)
-        cfg = B.AttentionConfig(heads=2, head_dim=4, rope=grid_rope(1, 3, head_dim=4))
+        rope = grid_rope(1, 3, head_dim=4)  # 2 heads of width 4
         x0 = rng.normal(size=(1, 3, 8))
 
         def f(t):
-            return B.multi_head_attention(t, p, cfg).sum()
+            return B.multi_head_attention(t, p, 2, rope).sum()
 
         assert grad_check(f, Tensor(x0, requires_grad=True), step=1e-5) <= 1e-4
         # parameter gradients too
         for leaf in (p.q.w, p.o.w, p.v.b):
             err = grad_check(
-                lambda t: B.multi_head_attention(Tensor(x0), p, cfg).sum(), leaf, step=1e-5
+                lambda t: B.multi_head_attention(Tensor(x0), p, 2, rope).sum(), leaf, step=1e-5
             )
             assert err <= 1e-4
 
@@ -201,8 +211,8 @@ class TestMlp:
 
     def test_hidden_width_arithmetic(self):
         st = store(12)
-        p = B.make_mlp_params(st, "mlp", 3, hidden_ratio=4)
-        assert p.fc1.w.shape == (3, 12)
+        p = B.make_mlp_params(st, "mlp", 3)
+        assert p.fc1.w.shape == (3, 12) and p.fc2.w.shape == (12, 3)
 
     def test_two_matmul_oracle(self):
         st = store(13)
@@ -220,7 +230,8 @@ class TestAdaln:
     def test_identity_when_gamma_one_beta_zero(self):
         x = Tensor(np.random.default_rng(0).normal(size=(2, 3, 4)))
         out = T.modulated_rms_norm(x, Tensor(np.ones((2, 1, 4))), Tensor(np.zeros((2, 1, 4))))
-        np.testing.assert_allclose(out.data, T.rms_norm(x).data, atol=1e-15)
+        expected = x.data / np.sqrt((x.data ** 2).mean(axis=-1, keepdims=True) + 1e-6)
+        np.testing.assert_allclose(out.data, expected, rtol=1e-14)
 
     def test_gamma_zero_broadcasts_beta(self):
         x = Tensor(np.random.default_rng(1).normal(size=(2, 3, 4)))
@@ -254,8 +265,8 @@ class TestAdaln:
 
 
 class TestDitBlock:
-    def cfg(self, width, grid):
-        return B.AttentionConfig(heads=2, head_dim=width // 2, rope=grid_rope(*grid, width // 2))
+    # width 8 on a 2x2 grid: 2 heads of width 4
+    ROPE = grid_rope(2, 2, head_dim=4)
 
     def test_zero_gates_identity(self):
         st = store(20)
@@ -267,7 +278,7 @@ class TestDitBlock:
                 t.data[...] = rng.normal(scale=0.5, size=t.shape)
         s = Tensor(rng.normal(size=(2, 4, 8)))
         c = Tensor(rng.normal(size=(2, 1, 8)))
-        out = B.dit_block(s, c, p, self.cfg(8, (2, 2)))
+        out = B.dit_block(s, c, p, 2, self.ROPE)
         np.testing.assert_array_equal(out.data, s.data)
 
     def test_stack_of_fresh_blocks_is_identity(self):
@@ -281,7 +292,7 @@ class TestDitBlock:
         c = Tensor(rng.normal(size=(1, 1, 8)))
         out = s
         for p in blocks:
-            out = B.dit_block(out, c, p, self.cfg(8, (2, 2)))
+            out = B.dit_block(out, c, p, 2, self.ROPE)
         np.testing.assert_array_equal(out.data, s.data)
 
     def test_determinism(self):
@@ -293,20 +304,19 @@ class TestDitBlock:
         c = rng.normal(size=(1, 1, 8))
         x2 = np.concatenate([s, s])
         c2 = np.concatenate([c, c])
-        out = B.dit_block(Tensor(x2), Tensor(c2), p, self.cfg(8, (2, 2)))
+        out = B.dit_block(Tensor(x2), Tensor(c2), p, 2, self.ROPE)
         np.testing.assert_array_equal(out.data[0], out.data[1])
 
     def test_block_grad_check(self):
         st = store(27)
         p = B.make_dit_block_params(st, "blk", 8)
         rng = np.random.default_rng(28)
-        randomize(st.params, rng, std=0.2)
+        randomize(st.params, rng, scale=0.2)
         s = Tensor(rng.normal(size=(1, 4, 8)))
         c = Tensor(rng.normal(size=(1, 1, 8)))
-        cfg = self.cfg(8, (2, 2))
 
         worst = 0.0
         for t in st.params.values():
-            err = grad_check(lambda _t: B.dit_block(s, c, p, cfg).sum(), t, step=1e-4)
+            err = grad_check(lambda _t: B.dit_block(s, c, p, 2, self.ROPE).sum(), t, step=1e-4)
             worst = max(worst, err)
         assert worst <= 1e-4

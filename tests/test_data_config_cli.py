@@ -113,6 +113,17 @@ class TestNetpbm:
         with pytest.raises(ParseError):
             D.read_image(p)
 
+    @pytest.mark.parametrize("header,payload", [
+        (b"P6\n-2 3\n255\n", 18), (b"P6\n0 3\n255\n", 0), (b"P5\n-1 -4\n255\n", 4),
+    ], ids=["negative_width", "zero_width", "both_negative"])
+    def test_non_positive_size_rejected(self, tmp_path, header, payload):
+        # each payload is as long as width * height * channels asks for
+        p = tmp_path / "size.ppm"
+        p.write_bytes(header + bytes(payload))
+        with pytest.raises(ParseError, match="must be positive") as exc:
+            D.read_image(p)
+        assert exc.value.offset is not None
+
 
 CONFIG_TEXT = """
 # toy run
@@ -244,6 +255,8 @@ class TestCli:
 
     @pytest.mark.parametrize("args", [
         ["flops", "--preset", "B", "--resolution", "256"],
+        ["flops", "--preset", "B", "--resolution=-256x256"],
+        ["flops", "--preset", "B", "--resolution", "0x0"],
         ["sample", "--checkpoint", "missing.ckpt", "--class", "0", "--out", "o",
          "--interval", "0.5"],
     ])
@@ -253,7 +266,8 @@ class TestCli:
         assert res.returncode == 2
         assert "usage:" in res.stderr
 
-    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--interval", "0.5,0.2"]])
+    @pytest.mark.parametrize("flag", [["--steps", "0"], ["--interval", "0.5,0.2"],
+                                      ["--count", "0"], ["--count=-1"]])
     def test_bad_sampler_flag_exits_2(self, tmp_path, flag):
         # checked before the (here nonexistent) checkpoint is opened
         res = run_cli(["sample", "--checkpoint", "missing.ckpt", "--class", "0", "--out", "o",

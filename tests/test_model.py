@@ -13,9 +13,9 @@ def toy_model(seed=0, dtype=np.float64, **overrides):
     return M.DualLevelModel(M.toy_config(**overrides), seed=seed, dtype=dtype)
 
 
-def randomize_all(model, rng, std=0.2):
+def randomize_all(model, rng, scale=0.2):
     for t in model.params.values():
-        t.data[...] = rng.normal(scale=std, size=t.shape)
+        t.data[...] = rng.normal(scale=scale, size=t.shape)
 
 
 class TestPatchify:
@@ -205,14 +205,14 @@ class TestRopeGeometry:
     def test_pixel_tables_repeat_each_patch_cell(self, k):
         m = toy_model(ptc_rate=k)
         gh, gw = m.config.grid
-        cos, sin = m.pixel_attn_cfg.rope
+        cos, sin = m.pixel_rope
         want_cos, want_sin = B.rope_tables(B.grid_positions(gh, gw, k), 8, np.float64)
         np.testing.assert_array_equal(cos, want_cos)
         np.testing.assert_array_equal(sin, want_sin)
         assert cos.shape == (gh * gw * k, 1, 4)
 
     def test_pixel_tables_absent_without_pixel_rope(self):
-        assert toy_model(rope_pixel_pathway=False).pixel_attn_cfg.rope is None
+        assert toy_model(rope_pixel_pathway=False).pixel_rope is None
 
     def test_forward_builds_no_tables(self, monkeypatch):
         m = toy_model(ptc_rate=2)
@@ -322,7 +322,7 @@ class TestGradients:
     def test_end_to_end_sampled_params(self):
         m = toy_model(seed=30, dtype=np.float64)
         rng = np.random.default_rng(31)
-        randomize_all(m, rng, std=0.15)
+        randomize_all(m, rng, scale=0.15)
         x = rng.normal(size=(1, 3, 8, 8))
         t, y = np.array([0.4]), np.array([2])
         w = Tensor(rng.normal(size=(1, 3, 8, 8)))
@@ -343,7 +343,7 @@ class TestGradients:
     def test_pit_block_grads(self):
         m = toy_model(seed=32, dtype=np.float64)
         rng = np.random.default_rng(33)
-        randomize_all(m, rng, std=0.2)
+        randomize_all(m, rng, scale=0.2)
         X0 = rng.normal(size=(16, 4, 4))
         cond0 = rng.normal(size=(16, 16))
 

@@ -13,6 +13,7 @@ from dualdit import model as M
 from dualdit import tensor as T
 from dualdit.errors import ShapeError
 from dualdit.tensor import Tape, Tensor, grad_check
+from dualdit.verification import TOLERANCE, primitive_checks
 
 
 def rand(shape, seed=0):
@@ -43,22 +44,40 @@ class TestForwardOracles:
     def test_add_vectors(self):
         np.testing.assert_array_equal((Tensor([1.0, 2.0]) + Tensor([3.0, 4.0])).data, [4.0, 6.0])
 
+    # attention's softmax, seen through its output: one-hot values read the
+    # probabilities back, constant scores average the values
+
     def test_softmax_symmetry(self):
-        out = T.softmax_lastdim(Tensor([0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
+        # q = 0 scores every key equally, so each token gets the mean value
+        rng = np.random.default_rng(0)
+        k, v = Tensor(rng.normal(size=(2, 3, 4))), Tensor(rng.normal(size=(2, 3, 4)))
+        out = T.attention(Tensor(np.zeros((2, 3, 4))), k, v, 2)
+        np.testing.assert_allclose(out.data, np.broadcast_to(v.data.mean(axis=1, keepdims=True), v.shape),
+                                   atol=1e-15)
 
     def test_softmax_no_overflow(self):
-        out = T.softmax_lastdim(Tensor([1000.0, 1000.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5])
-        assert np.all(np.isfinite(out.data))
+        # one head of width one: q = +-1000 against keys +-1 scores +-1000
+        q = Tensor(np.array([1000.0, -1000.0]).reshape(1, 2, 1))
+        v = Tensor(np.array([1.0, 3.0]).reshape(1, 2, 1))
+        equal = T.attention(q, Tensor(np.ones((1, 2, 1))), v, 1)
+        np.testing.assert_allclose(equal.data.ravel(), [2.0, 2.0])
+        split = T.attention(q, Tensor(np.array([1.0, -1.0]).reshape(1, 2, 1)), v, 1)
+        np.testing.assert_array_equal(split.data.ravel(), [1.0, 3.0])
+        assert np.all(np.isfinite(equal.data)) and np.all(np.isfinite(split.data))
 
     def test_softmax_brute_force_oracle(self):
-        # brute-force exp/sum oracle evaluated in extended precision
+        # scores (1, 2, 3) for every query (head_dim 4, so the 1/2 scale is exact),
+        # one-hot values; brute-force exp/sum oracle in extended precision
         x = np.array([1.0, 2.0, 3.0])
+        q = np.zeros((1, 3, 4))
+        q[..., 0] = 2.0
+        k = np.zeros((1, 3, 4))
+        k[0, :, 0] = x
         e = np.exp(x.astype(np.longdouble))
         expected = (e / e.sum()).astype(np.float64)
-        out = T.softmax_lastdim(Tensor(x))
-        np.testing.assert_allclose(out.data, expected, rtol=1e-14)
+        out = T.attention(Tensor(q), Tensor(k), Tensor(np.eye(3, 4)[None]), 1)
+        for row in out.data[0]:
+            np.testing.assert_allclose(row, [*expected, 0.0], rtol=1e-14)
 
 
 class TestGradChecks:
@@ -86,30 +105,18 @@ class TestGradChecks:
         err_b = grad_check(lambda t: T.matmul(a, t).sum(), b, step=1e-4)
         assert err_b <= 1e-6
 
-    @pytest.mark.parametrize(
-        "name,fn",
-        [
-            ("add", lambda x: (x + rand((4, 3), 5)).sum()),
-            ("sub", lambda x: (x - rand((4, 3), 5)).sum()),
-            ("mul", lambda x: (x * rand((4, 3), 5)).sum()),
-            ("div", lambda x: T.div(x, Tensor(np.full((4, 3), 2.5))).sum()),
-            ("scale", lambda x: T.scale(x, -1.7).sum()),
-            ("exp", lambda x: T.texp(x).sum()),
-            ("sqrt", lambda x: T.tsqrt(x * x + Tensor(np.ones((4, 3)))).sum()),
-            ("silu", lambda x: T.silu(x).sum()),
-            ("gelu_tanh", lambda x: T.gelu_tanh(x).sum()),
-            ("softmax", lambda x: (T.softmax_lastdim(x) * rand((4, 3), 9)).sum()),
-            ("rms_norm", lambda x: (T.rms_norm(x) * rand((4, 3), 11)).sum()),
-            ("reshape", lambda x: (x.reshape(2, 6) * rand((2, 6), 13)).sum()),
-            ("transpose", lambda x: (x.transpose(1, 0) * rand((3, 4), 15)).sum()),
-            ("slice", lambda x: T.split_lastdim(x, 3)[1].sum()),
-            ("mean", lambda x: x.mean()),
-            ("sum_axis", lambda x: (x.sum(axis=0) * rand((3,), 17)).sum()),
-        ],
-    )
-    def test_primitive_small_shapes(self, name, fn):
+    @pytest.mark.parametrize("name,check", primitive_checks())
+    def test_primitive_small_shapes(self, name, check):
+        assert check() <= TOLERANCE, name
+
+    def test_python_scalars_are_constant_operands(self):
+        # -x, 2.0 * (.), (.) / 4.0 and (.) * 1.5: one mul or div record each
         x = rand((4, 3), seed=3)
-        assert grad_check(fn, x, step=1e-5) <= 1e-4, name
+        with Tape() as tape:
+            y = 2.0 * -x / 4.0 * 1.5
+        assert len(tape) == 4
+        np.testing.assert_allclose(y.data, -0.75 * x.data, rtol=1e-15)
+        assert grad_check(lambda t: (2.0 * -t / 4.0 * 1.5).sum(), x) <= 1e-7
 
     def test_broadcast_add_grad(self):
         b = Tensor(np.random.default_rng(2).normal(size=(1, 3)), requires_grad=True)
@@ -117,10 +124,13 @@ class TestGradChecks:
         assert grad_check(lambda t: ((a + t) * rand((4, 3), 6)).sum(), b, step=1e-5) <= 1e-6
 
     def test_rms_norm_with_gain_grads(self):
+        # the AdaLN norm with a shared gain and no shift
         x = rand((2, 5), seed=21)
         gain = Tensor(np.random.default_rng(22).normal(size=(5,)), requires_grad=True)
-        assert grad_check(lambda t: (T.rms_norm(t, gain) * rand((2, 5), 23)).sum(), x) <= 1e-6
-        assert grad_check(lambda t: (T.rms_norm(x, t) * rand((2, 5), 23)).sum(), gain) <= 1e-6
+        zero = Tensor(np.zeros(5))
+        w = rand((2, 5), 23)
+        assert grad_check(lambda t: (T.modulated_rms_norm(t, gain, zero) * w).sum(), x) <= 1e-6
+        assert grad_check(lambda t: (T.modulated_rms_norm(x, t, zero) * w).sum(), gain) <= 1e-6
 
     def test_gather_rows_grad(self):
         table = rand((5, 3), seed=31)
@@ -352,11 +362,9 @@ class TestPrimitiveRegistry:
     # public functions of dualdit.tensor that are not taped primitives
     NOT_PRIMITIVES = {"active_tape", "grad_check"}
     # check names that drop the t- prefix of a primitive's function name
-    CHECK_NAMES = {"texp": "exp", "tsqrt": "sqrt", "tsum": "sum", "tmean": "mean"}
+    CHECK_NAMES = {"tsqrt": "sqrt", "tsum": "sum", "tmean": "mean"}
 
     def test_every_public_primitive_has_a_check(self):
-        from dualdit.verification import primitive_checks
-
         primitives = {
             name for name, fn in vars(T).items()
             if inspect.isfunction(fn) and fn.__module__ == T.__name__
@@ -368,14 +376,17 @@ class TestPrimitiveRegistry:
 
 
 class TestInvariantProperties:
-    @given(st.lists(st.integers(1, 5), min_size=1, max_size=3), st.integers(0, 10_000))
+    @given(st.lists(st.integers(1, 5), min_size=4, max_size=4), st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
-    def test_softmax_rows_sum_to_one(self, shape, seed):
+    def test_softmax_rows_sum_to_one(self, dims, seed):
+        # probability rows that sum to one leave a value constant over tokens as it is
+        batch, tokens, heads, head_dim = dims
         rng = np.random.default_rng(seed)
-        x = Tensor(rng.normal(scale=5.0, size=tuple(shape)))
-        y = T.softmax_lastdim(x).data
-        np.testing.assert_allclose(y.sum(axis=-1), np.ones(y.shape[:-1]), atol=1e-12)
-        assert np.all(y >= 0.0) and np.all(y <= 1.0)
+        shape = (batch, tokens, heads * head_dim)
+        q, k = (Tensor(rng.normal(scale=5.0, size=shape)) for _ in range(2))
+        v = np.broadcast_to(rng.normal(size=(batch, 1, shape[-1])), shape)
+        out = T.attention(q, k, Tensor(v), heads).data
+        np.testing.assert_allclose(out, v, rtol=1e-12, atol=1e-12)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -402,16 +413,21 @@ class TestInvariantProperties:
     @given(st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
     def test_random_shapes_matmul_softmax_norm(self, seed):
-        # last extent >= 2: one-element rows make softmax constant and put
-        # rms_norm in its eps-regularized transition zone, where the probe is
-        # nearly flat or pathologically curved and finite differences say
-        # nothing about the gradient
+        # extents >= 2: one token makes the softmax constant, and one-element
+        # rows put the norm in its eps-regularized transition zone, where the
+        # probe is nearly flat or pathologically curved and finite differences
+        # say nothing about the gradient
         rng = np.random.default_rng(seed)
         m, k, n = rng.integers(2, 6, size=3)
         a = Tensor(rng.normal(size=(m, k)), requires_grad=True)
         b = Tensor(rng.normal(size=(k, n)))
         w = Tensor(rng.normal(size=(m, n)))
-        err = grad_check(
-            lambda t: (T.softmax_lastdim(T.matmul(t, b)) * w + T.rms_norm(T.matmul(t, b)) * w).sum(),
-            a, step=1e-5)
-        assert err <= 1e-4
+        one, zero = Tensor(np.ones(n)), Tensor(np.zeros(n))
+
+        def f(t):
+            h = T.matmul(t, b)
+            h3 = h.reshape(1, m, n)
+            return (T.attention(h3, h3, h3, 1).reshape(m, n) * w
+                    + T.modulated_rms_norm(h, one, zero) * w).sum()
+
+        assert grad_check(f, a, step=1e-5) <= 1e-4

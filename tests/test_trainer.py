@@ -335,6 +335,19 @@ class TestCheckpointFormat:
         header, arrays = C.load(path)
         assert header["kind"] == "test" and sorted(arrays) == ["rec_a", "rec_b"]
 
+    def test_failed_save_keeps_the_earlier_file(self, tmp_path):
+        # the second record cannot be read, so the writer raises after the first
+        path, blob = self.saved(tmp_path)
+
+        class Unreadable:
+            def __array__(self, dtype=None, copy=None):
+                raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            C.save(path, {"kind": "new"}, {"rec_a": np.ones(3), "rec_b": Unreadable()})
+        assert path.read_bytes() == blob
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]  # no .tmp left
+
     def test_record_name_not_utf8(self, tmp_path):
         path, blob = self.saved(tmp_path)
         at = blob.index(b"rec_b")
