@@ -41,7 +41,12 @@ def save(path, header: dict[str, Any], arrays: dict[str, np.ndarray]):
     The bytes go to ``path + ".tmp"`` in the same directory, reach the disk
     (fsync), and only then take the place of ``path``; a save that fails
     removes the temporary file, so an earlier checkpoint at ``path`` survives.
+    Records are stored as float32, so any other dtype raises ``ConfigError``
+    before the temporary file is opened, rather than losing precision.
     """
+    for name in sorted(arrays):
+        if arrays[name].dtype != np.float32:
+            raise ConfigError(f"checkpoint record {name!r} is {arrays[name].dtype}; records are float32")
     header = dict(header)
     header["format_version"] = FORMAT_VERSION
     hdr = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")

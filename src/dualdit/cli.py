@@ -122,6 +122,9 @@ def cmd_params(args) -> int:
 
 def cmd_flops(args) -> int:
     cfg = _model_config_from_args(args)
+    if args.resolution and any(n % cfg.patch_size for n in args.resolution):
+        args.usage_error(f"--resolution {args.resolution[0]}x{args.resolution[1]} is not "
+                         f"divisible by patch {cfg.patch_size}")
     report = A.estimate_flops(cfg, args.resolution)
     print("module,flops")
     for name, val in report.flops_by_module.items():
@@ -212,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "flops":
             p.add_argument("--resolution", type=_pair("x", int, least=1), metavar="HxW",
                            help="defaults to the config resolution")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=fn, usage_error=p.error)
 
     p = sub.add_parser("ablate", help="train variant rows and emit a comparison CSV")
     p.add_argument("--spec", required=True, help="config file; ablate.variants lists the rows")

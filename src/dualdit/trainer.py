@@ -8,6 +8,7 @@ re-derived from (seed, epoch) so a mid-epoch resume sees the same batches.
 
 from __future__ import annotations
 
+import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -173,6 +174,14 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
     kinds = ("param", "adam_m", "adam_v", "ema")
     checked = {(kind, name): ckpt.get_record(arrays, f"{kind}.{name}", t.shape)
                for name, t in state.params.items() for kind in kinds}
+    # fields that change no shape (rope_pixel_pathway, cond_uses_class) pass the record
+    # checks; the header holds the config as JSON, where tuples read back as lists
+    saved = header.get("model_config", {})
+    current = json.loads(json.dumps(config_to_dict(model.config)))
+    differ = [k for k in sorted(current.keys() | saved.keys()) if saved.get(k) != current.get(k)]
+    if differ:
+        raise ConfigError(f"{path} holds another model configuration: " + ", ".join(
+            f"{k} saved {saved.get(k)!r}, model {current.get(k)!r}" for k in differ))
     for name, t in state.params.items():
         t.data[...] = checked["param", name]
         for kind, records in zip(kinds[1:], (state.m, state.v, state.ema)):

@@ -259,9 +259,10 @@ class TestCli:
         ["flops", "--preset", "B", "--resolution", "0x0"],
         ["sample", "--checkpoint", "missing.ckpt", "--class", "0", "--out", "o",
          "--interval", "0.5"],
+        ["flops", "--preset", "B", "--resolution=250x250"],  # not a multiple of patch 16
     ])
     def test_malformed_pair_exits_2(self, tmp_path, args):
-        # rejected while parsing, before any checkpoint is opened
+        # usage errors, raised before any checkpoint is opened
         res = run_cli(args, tmp_path)
         assert res.returncode == 2
         assert "usage:" in res.stderr

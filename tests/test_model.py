@@ -1,12 +1,17 @@
 """Dual-level model: token plumbing, conditioning, variants, gradients."""
 
+import gc
+import os
+import signal
+
 import numpy as np
 import pytest
 
 from dualdit import blocks as B
 from dualdit import model as M
+from dualdit import samplers as S
 from dualdit.errors import ConfigError, InputError, ShapeError
-from dualdit.tensor import Tensor, grad_check
+from dualdit.tensor import Tape, Tensor, grad_check
 
 
 def toy_model(seed=0, dtype=np.float64, **overrides):
@@ -176,6 +181,8 @@ class TestForward:
         m = toy_model()
         with pytest.raises(ShapeError):
             m.forward(np.zeros((1, 3, 16, 16)), np.array([0.5]), np.array([0]))
+        with pytest.raises(ShapeError, match="for a batch of 2"):
+            m.forward(np.zeros((2, 3, 8, 8)), np.array([0.5, 0.5]), np.array([0, 1, 2]))
 
     def test_semantic_handoff_broadcast(self):
         rng = np.random.default_rng(40)
@@ -198,6 +205,181 @@ class TestForward:
             randomize_all(m, np.random.default_rng(43))
             outs.append(m.forward(x, np.array([0.5]), np.array([1])).data)
         assert np.abs(outs[0] - outs[1]).max() > 1e-9
+
+
+DESK = M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64, pixel_dim=8, heads=4,
+                     patch_size=4, num_classes=3, resolution=(16, 16), channels=3)
+
+
+def desk_model():
+    model = M.DualLevelModel(DESK, seed=60)
+    rng = np.random.default_rng(61)
+    # zero-initialized gates and heads would leave the pixel pathway silent
+    for t in model.params.values():
+        t.data += rng.normal(scale=0.02, size=t.shape).astype(np.float32)
+    return model
+
+
+def desk_inputs(batch):
+    rng = np.random.default_rng(62)
+    return (rng.standard_normal((batch, 3, 16, 16)).astype(np.float32),
+            rng.uniform(size=batch), rng.integers(0, 4, batch))
+
+
+@pytest.fixture
+def shard_sizes(monkeypatch):
+    """Two usable cores; returns the batch sizes of the shards, those sent to workers first."""
+    if M._openblas_threads() is None:
+        pytest.skip("sharding needs OpenBLAS's thread-count setter")
+    monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1})
+    sizes = []
+    serial, submit = M.DualLevelModel._forward, M._ShardWorker.submit
+
+    def counted(self, x, *args, **kwargs):
+        sizes.append(x.shape[0])
+        return serial(self, x, *args, **kwargs)
+
+    def counted_submit(self, part):
+        sizes.append(part[0].shape[0])
+        return submit(self, part)
+
+    monkeypatch.setattr(M.DualLevelModel, "_forward", counted)
+    monkeypatch.setattr(M._ShardWorker, "submit", counted_submit)
+    return sizes
+
+
+class TestShardedForward:
+    def test_desk_batch_is_bitwise_serial(self, shard_sizes):
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        sharded = model.forward(x, t, y)
+        assert shard_sizes == [32, 32]
+        assert sharded.data.tobytes() == model._forward(Tensor(x), t, y).data.tobytes()
+
+    @pytest.mark.parametrize("variant", M.VARIANTS)
+    @pytest.mark.parametrize("ptc_rate", [1, 2])
+    def test_toy_odd_batch_is_bitwise_serial(self, shard_sizes, monkeypatch, variant, ptc_rate):
+        monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 1)
+        m = toy_model(seed=63, variant=variant, ptc_rate=ptc_rate)
+        randomize_all(m, np.random.default_rng(64))
+        rng = np.random.default_rng(65)
+        x, t, y = rng.normal(size=(5, 3, 8, 8)), rng.uniform(size=5), rng.integers(0, 4, 5)
+        sharded = m.forward(x, t, y)
+        assert sorted(shard_sizes) == [2, 3]
+        assert sharded.data.tobytes() == m._forward(Tensor(x), t, y).data.tobytes()
+
+    def test_guided_sample_is_bitwise_serial(self, shard_sizes, monkeypatch):
+        model = desk_model()
+        cfg = S.SamplerConfig(solver="flow_dpm", steps=4, cfg_scale=2.0,
+                              cfg_interval=(0.1, 1.0), seed=66)
+        sharded = S.sample(model, cfg, np.arange(32) % 3)
+        assert set(shard_sizes) == {16}
+        monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 10**9)
+        assert sharded.tobytes() == S.sample(model, cfg, np.arange(32) % 3).tobytes()
+
+    def test_one_call_per_nfe_on_a_wrapped_instance(self, shard_sizes):
+        # a profiler that counts calls of the instance's forward sees no shard
+        model = desk_model()
+        calls = []
+
+        def counted_forward(*args, **kwargs):
+            calls.append(args[0].shape[0])
+            return type(model).forward(model, *args, **kwargs)
+
+        model.forward = counted_forward
+        cfg = S.SamplerConfig(solver="flow_dpm", steps=32, cfg_scale=2.0,
+                              cfg_interval=(0.1, 1.0), shift_alpha=1.0, seed=67)
+        S.sample(model, cfg, np.arange(32) % 3)
+        assert calls == [32] * 61
+        assert shard_sizes == [16] * 122
+
+    def test_taped_forward_forks_no_worker(self, shard_sizes, monkeypatch):
+        def no_workers(*args):
+            raise AssertionError("a taped forward forked a worker")
+
+        monkeypatch.setattr(M, "_ShardWorker", no_workers)
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        with Tape() as tape:
+            model.forward(x, t, y)
+        assert shard_sizes == [64] and len(tape) > 0
+
+    def test_serial_without_the_setter_or_with_the_region_taken(self, shard_sizes, monkeypatch):
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        with M._SHARD_LOCK:
+            model.forward(x, t, y)
+        monkeypatch.setattr(M, "_openblas_threads", lambda: None)
+        model.forward(x, t, y)
+        assert shard_sizes == [64, 64]
+
+    def test_bad_class_id_in_a_worker_shard(self, shard_sizes):
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        y[40] = DESK.num_classes + 1
+        with pytest.raises(InputError):
+            model.forward(x, t, y)
+        assert shard_sizes == [32, 32]
+
+    def test_worker_computes_with_current_parameters(self, shard_sizes):
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        model.forward(x, t, y)
+        for p in model.params.values():
+            p.data *= 1.5
+        sharded = model.forward(x, t, y)
+        assert shard_sizes == [32, 32] * 2
+        assert sharded.data.tobytes() == model._forward(Tensor(x), t, y).data.tobytes()
+
+    def test_a_dead_worker_fails_one_forward_and_is_replaced(self, shard_sizes):
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        model.forward(x, t, y)
+        [worker] = model._shard_workers
+        os.kill(worker.pid, signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="exited"):
+            model.forward(x, t, y)
+        assert model._shard_workers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)  # reaped
+        sharded = model.forward(x, t, y)
+        assert model._shard_workers[0].pid != worker.pid
+        assert sharded.data.tobytes() == model._forward(Tensor(x), t, y).data.tobytes()
+
+    def test_worker_stops_with_its_model(self, shard_sizes):
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        model.forward(x, t, y)
+        pid = model._shard_workers[0].pid
+        del model
+        gc.collect()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_blas_threads_pinned_then_restored(self, shard_sizes, monkeypatch):
+        get_threads, set_threads = M._openblas_threads()
+        seen = []
+        counted = M.DualLevelModel._forward
+
+        def spy(self, *args, **kwargs):
+            seen.append(get_threads())
+            return counted(self, *args, **kwargs)
+
+        monkeypatch.setattr(M.DualLevelModel, "_forward", spy)
+        model = desk_model()
+        x, t, y = desk_inputs(64)
+        threads = get_threads()
+        try:
+            set_threads(2)
+            want = get_threads()
+            model.forward(x, t, y)
+            assert seen == [1] and get_threads() == want
+            y[40] = DESK.num_classes + 1
+            with pytest.raises(InputError):
+                model.forward(x, t, y)
+            assert get_threads() == want
+        finally:
+            set_threads(threads)
 
 
 class TestRopeGeometry:

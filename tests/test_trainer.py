@@ -1,5 +1,6 @@
 """Optimizer oracles, EMA, clipping, loop determinism, checkpoint resume."""
 
+import dataclasses
 import struct
 
 import numpy as np
@@ -23,6 +24,21 @@ def tiny_setup(total_steps=8, align=0.0, seed=0, **train_kw):
         toy_config(resolution=(4, 4), num_classes=2, patch_dim=16, pixel_dim=4,
                    patch_depth=1, pixel_depth=1), seed=seed)
     return model, dataset, cfg
+
+
+def state_arrays(state) -> dict:
+    """Every param, Adam moment and EMA array of a train state, by (kind, name)."""
+    out = {("param", name): t.data for name, t in state.params.items()}
+    for kind, records in (("m", state.m), ("v", state.v), ("ema", state.ema)):
+        out.update({(kind, name): a for name, a in records.items()})
+    return out
+
+
+def assert_unchanged(state, before: dict):
+    after = state_arrays(state)
+    assert after.keys() == before.keys()
+    for key, a in before.items():
+        assert after[key].tobytes() == a.tobytes(), key
 
 
 class TestAdamW:
@@ -273,20 +289,21 @@ class TestCheckpointing:
         C.save(ck, header, arrays)
         fresh, _, _ = tiny_setup(total_steps=2, seed=1)
         state = TR.init_state(fresh, cfg)
-
-        def arrays_of(state):
-            out = {("param", name): t.data for name, t in state.params.items()}
-            for kind, records in (("m", state.m), ("v", state.v), ("ema", state.ema)):
-                out.update({(kind, name): a for name, a in records.items()})
-            return out
-
-        before = {key: a.copy() for key, a in arrays_of(state).items()}
+        before = {key: a.copy() for key, a in state_arrays(state).items()}
         with pytest.raises(ConfigError, match="'ema.pixel_head.b'"):
             TR.restore_state(fresh, state, ck)
-        after = arrays_of(state)
-        assert after.keys() == before.keys()
-        for key, a in before.items():
-            assert after[key].tobytes() == a.tobytes(), key
+        assert_unchanged(state, before)
+
+    def test_resume_into_another_config_changes_nothing(self, tmp_path):
+        # the flag changes no parameter shape, so only the header tells the models apart
+        model, dataset, cfg = tiny_setup(total_steps=2)
+        TR.train(model, dataset, cfg, checkpoint_dir=tmp_path)
+        other = DualLevelModel(dataclasses.replace(model.config, rope_pixel_pathway=False), seed=1)
+        state = TR.init_state(other, cfg)
+        before = {key: a.copy() for key, a in state_arrays(state).items()}
+        with pytest.raises(ConfigError, match="rope_pixel_pathway saved True, model False"):
+            TR.restore_state(other, state, tmp_path / "final.ckpt")
+        assert_unchanged(state, before)
 
     def test_load_model_checks_the_records_it_reads(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=1)
@@ -327,7 +344,8 @@ class TestCheckpointFormat:
 
     def saved(self, tmp_path):
         path = tmp_path / "c.ckpt"
-        C.save(path, {"kind": "test"}, {"rec_a": np.zeros(2), "rec_b": np.zeros(2)})
+        C.save(path, {"kind": "test"}, {"rec_a": np.zeros(2, np.float32),
+                                        "rec_b": np.zeros(2, np.float32)})
         return path, path.read_bytes()
 
     def test_round_trip(self, tmp_path):
@@ -340,13 +358,23 @@ class TestCheckpointFormat:
         path, blob = self.saved(tmp_path)
 
         class Unreadable:
+            dtype = np.dtype(np.float32)
+
             def __array__(self, dtype=None, copy=None):
                 raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):
-            C.save(path, {"kind": "new"}, {"rec_a": np.ones(3), "rec_b": Unreadable()})
+            C.save(path, {"kind": "new"}, {"rec_a": np.ones(3, np.float32), "rec_b": Unreadable()})
         assert path.read_bytes() == blob
         assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]  # no .tmp left
+
+    def test_non_float32_record_is_refused_before_writing(self, tmp_path):
+        path, blob = self.saved(tmp_path)
+        model = DualLevelModel(toy_config(), dtype=np.float64)
+        with pytest.raises(ConfigError, match=r"'adam_m\.class_embed' is float64"):
+            TR.save_checkpoint(path, model, TR.init_state(model, TR.TrainConfig()))
+        assert path.read_bytes() == blob
+        assert [p.name for p in tmp_path.iterdir()] == ["c.ckpt"]
 
     def test_record_name_not_utf8(self, tmp_path):
         path, blob = self.saved(tmp_path)
