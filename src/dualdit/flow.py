@@ -28,6 +28,11 @@ class FlowBatch:
     x_t: np.ndarray   # interpolant
     v_t: np.ndarray   # target velocity eps - x0
 
+    def rows(self, start: int, stop: int) -> "FlowBatch":
+        """Samples ``start`` to ``stop`` of the batch."""
+        return FlowBatch(self.x0[start:stop], self.eps[start:stop], self.t[start:stop],
+                         self.x_t[start:stop], self.v_t[start:stop])
+
 
 def logit_normal_sampler(mean: float = 0.0, std: float = 1.0) -> Callable:
     """t = sigmoid(z), z ~ N(mean, std): weights mid-trajectory timesteps."""
@@ -60,14 +65,12 @@ def make_flow_batch(x0: np.ndarray, rng: np.random.Generator,
 
 
 def loss_diffusion(model, batch: FlowBatch, y: np.ndarray,
-                   drop_rng: Optional[np.random.Generator] = None,
-                   drop_prob: float = 0.0, patch_outs: Optional[list] = None) -> Tensor:
+                   patch_outs: Optional[list] = None) -> Tensor:
     """Velocity-matching loss: mean squared error over all elements.
 
     ``patch_outs`` is handed to ``model.forward`` to collect the patch tokens.
     """
-    v = model.forward(batch.x_t, batch.t, y, drop_rng=drop_rng, drop_prob=drop_prob,
-                      patch_outs=patch_outs)
+    v = model.forward(batch.x_t, batch.t, y, patch_outs=patch_outs)
     err = v - Tensor(batch.v_t.astype(np.asarray(v.data).dtype))
     loss = (err * err).mean()
     if not np.isfinite(loss.data):

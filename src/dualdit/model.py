@@ -228,14 +228,11 @@ class DualLevelModel:
 
     # -- conditioning ------------------------------------------------------
 
-    def embed_condition(self, t: np.ndarray, y: np.ndarray,
-                        drop_rng: Optional[np.random.Generator] = None,
-                        drop_prob: float = 0.0) -> tuple[Tensor, Tensor]:
+    def embed_condition(self, t: np.ndarray, y: np.ndarray) -> tuple[Tensor, Tensor]:
         """Return (c, t_embedding), each (B, 1, D).
 
-        c = SiLU(t_embedding + class_table[y] + bias). With ``drop_rng`` set,
-        each label is replaced by the null class with ``drop_prob`` (the
-        classifier-free guidance dropout).
+        c = SiLU(t_embedding + class_table[y] + bias); the null class id is
+        the unconditional branch of classifier-free guidance.
         """
         cfg = self.config
         y = np.asarray(y, dtype=np.int64)
@@ -243,9 +240,6 @@ class DualLevelModel:
             raise InputError(
                 f"class ids must lie in [0, {cfg.null_class}] (null id {cfg.null_class}), got {y}"
             )
-        if drop_rng is not None and drop_prob > 0.0:
-            mask = drop_rng.random(y.shape[0]) < drop_prob
-            y = np.where(mask, cfg.null_class, y)
         feats = Tensor(sinusoidal_features(t, cfg.patch_dim).astype(self.dtype))
         t_emb = B.linear(T.silu(B.linear(feats, self.t_fc1)), self.t_fc2)
         t_emb = t_emb.reshape(len(y), 1, cfg.patch_dim)
@@ -297,19 +291,17 @@ class DualLevelModel:
 
     # -- full forward ------------------------------------------------------
 
-    def forward(self, x, t, y, drop_rng=None, drop_prob: float = 0.0,
-                diag: Optional[dict] = None, patch_outs: Optional[list] = None) -> Tensor:
+    def forward(self, x, t, y, diag: Optional[dict] = None,
+                patch_outs: Optional[list] = None) -> Tensor:
         """Velocity prediction; output shape equals input shape.
 
         ``patch_outs``, when given, collects the patch tokens after each patch block.
 
-        An untaped forward with none of ``drop_rng``, ``diag`` or ``patch_outs``
-        splits its batch into contiguous shards, one per usable core, as long
-        as each shard keeps ``_MIN_SHARD_PIXELS`` pixel tokens. This process
-        runs the first shard and forked copies of the model run the others,
-        all with OpenBLAS on one thread. No sample's arithmetic depends on its
-        batch neighbours, so the output is bitwise the serial one wherever BLAS
-        runs a shard's GEMMs with the batch's kernel.
+        An untaped forward with neither ``diag`` nor ``patch_outs`` splits its
+        batch by ``shard_cuts`` and runs the shards with ``run_shards``; it
+        stays serial while another thread runs shards. No sample's arithmetic
+        depends on its batch neighbours, so the output is bitwise the serial
+        one wherever BLAS runs a shard's GEMMs with the batch's kernel.
         """
         cfg = self.config
         if not isinstance(x, Tensor):
@@ -322,32 +314,44 @@ class DualLevelModel:
         t, y = np.asarray(t), np.asarray(y)
         if t.shape != (Bsz,) or y.shape != (Bsz,):
             raise ShapeError(f"t {t.shape} and y {y.shape} must both be ({Bsz},) for a batch of {Bsz}")
-        if (T.active_tape() is not None or drop_rng is not None or diag is not None
-                or patch_outs is not None or _openblas_threads() is None):
-            return self._forward(x, t, y, drop_rng, drop_prob, diag, patch_outs)
-        per_shard = -(-_MIN_SHARD_PIXELS // (H * W))  # samples each shard keeps
-        shards = min(len(os.sched_getaffinity(0)), Bsz // per_shard)
-        # the BLAS thread count is process-wide, so one sharded forward at a time
-        if shards < 2 or not _SHARD_LOCK.acquire(blocking=False):
-            return self._forward(x, t, y)
+        cuts = shard_cuts(Bsz, H * W) if diag is None and patch_outs is None else [(0, Bsz)]
+        # waiting for another thread's shards would gain nothing over running serially
+        outs = self.run_shards(_forward_shard, [(x.data[a:b], t[a:b], y[a:b]) for a, b in cuts],
+                               wait=False) if len(cuts) > 1 else None
+        if outs is None:
+            return self._forward(x, t, y, diag, patch_outs)
+        return Tensor(np.concatenate([out.data for out in outs]), requires_grad=outs[0].requires_grad)
+
+    def run_shards(self, fn, parts: list[tuple], wait: bool) -> Optional[list]:
+        """``fn(self, *part)`` for each part, in parallel; the results in part order.
+
+        This process runs the first part and forked copies of the model (kept
+        on it, forked by the first call that needs them) the others, all with
+        OpenBLAS on one thread. ``fn`` must be a module-level function, since
+        it reaches a worker by reference. The BLAS thread count is
+        process-wide, so one call runs at a time: with ``wait`` False a call
+        that finds another running returns None at once. A part's exception
+        is raised here, that of the first part in order when several raise.
+        """
+        if not _SHARD_LOCK.acquire(blocking=wait):
+            return None
         get_threads, set_threads = _openblas_threads()
         threads = get_threads()
-        cuts = [Bsz * i // shards for i in range(shards + 1)]
-        parts = [(x.data[a:b], t[a:b], y[a:b]) for a, b in zip(cuts, cuts[1:])]
         workers = self._shard_workers
+        others = len(parts) - 1
         replied = False
         try:
-            while len(workers) < shards - 1:
+            while len(workers) < others:
                 workers.append(_ShardWorker(self))
             # each shard's GEMMs on several BLAS threads would oversubscribe the cores
             set_threads(1)
             for worker, part in zip(workers, parts[1:]):
-                worker.submit(part)
+                worker.submit(fn, part)
             try:
-                first = self._forward(Tensor(parts[0][0]), *parts[0][1:])
+                first = fn(self, *parts[0])
             finally:
-                # also when shard 0 raised, so that no reply is left unread
-                replies = [worker.reply() for worker in workers[:shards - 1]]
+                # also when the first part raised, so that no reply is left unread
+                replies = [worker.reply() for worker in workers[:others]]
                 replied = True
         finally:
             set_threads(threads)
@@ -361,17 +365,15 @@ class DualLevelModel:
         for ok, value in replies:
             if not ok:
                 raise value
-        return Tensor(np.concatenate([first.data] + [value for _, value in replies]),
-                      requires_grad=first.requires_grad)
+        return [first] + [value for _, value in replies]
 
-    def _forward(self, x: Tensor, t: np.ndarray, y: np.ndarray, drop_rng=None,
-                 drop_prob: float = 0.0, diag: Optional[dict] = None,
+    def _forward(self, x: Tensor, t: np.ndarray, y: np.ndarray, diag: Optional[dict] = None,
                  patch_outs: Optional[list] = None) -> Tensor:
         """``forward`` on one batch or shard, in the calling thread."""
         cfg = self.config
         Bsz, C = x.shape[:2]
         p, L = cfg.patch_size, cfg.num_patches
-        c, t_emb = self.embed_condition(t, y, drop_rng, drop_prob)
+        c, t_emb = self.embed_condition(t, y)
         tokens = patchify(x, p)
         s = B.linear(tokens, self.patch_embed)
         s = self.patch_pathway(s, c, patch_outs)
@@ -406,10 +408,10 @@ class DualLevelModel:
 
 
 # ---------------------------------------------------------------------------
-# data-parallel forward
+# data parallelism
 # ---------------------------------------------------------------------------
 
-# Pixel tokens (batch x H x W) each forward shard must keep. Desk model
+# Pixel tokens (batch x H x W) each shard must keep. Desk model
 # (16x16, p=4, float32) on a 2-core Xeon, median ms of the serial forward /
 # two shards (one in a worker), blocks of 8 calls 0.3 s apart, two runs:
 #   B=8  (1024 per shard)   8.1/5.6
@@ -425,6 +427,26 @@ class DualLevelModel:
 _MIN_SHARD_PIXELS = 4096
 
 _SHARD_LOCK = threading.Lock()
+
+
+def shard_cuts(batch: int, pixels: int) -> list[tuple[int, int]]:
+    """Row ranges of the contiguous shards a batch of images of ``pixels`` pixels splits into.
+
+    One shard per usable core as long as each keeps ``_MIN_SHARD_PIXELS``
+    pixel tokens; shard i covers rows batch*i//n to batch*(i+1)//n. A single
+    shard while a tape records (a taped forward builds its graph here, and a
+    worker forked then would copy the records) or when no OpenBLAS thread
+    setter is found.
+    """
+    n = 1
+    if T.active_tape() is None and _openblas_threads() is not None:
+        per_shard = -(-_MIN_SHARD_PIXELS // pixels)
+        n = max(1, min(len(os.sched_getaffinity(0)), batch // per_shard))
+    return [(batch * i // n, batch * (i + 1) // n) for i in range(n)]
+
+
+def _forward_shard(model: DualLevelModel, x: np.ndarray, t: np.ndarray, y: np.ndarray) -> Tensor:
+    return model._forward(Tensor(x), t, y)
 
 
 @functools.cache
@@ -451,7 +473,7 @@ def _openblas_threads():
 
 
 class _ShardWorker:
-    """A forked copy of a model that runs forward shards for it.
+    """A forked copy of a model that runs shards of its batches for it.
 
     Threads would run the shards under one GIL and hand it over some hundred
     times per forward, each hand-over a sleep and a wake of a core, whose
@@ -484,24 +506,24 @@ class _ShardWorker:
         self._finalizer = weakref.finalize(self, _stop_worker, self._conn, self.pid)
         _WORKERS.add(self)
 
-    def submit(self, part: tuple[np.ndarray, np.ndarray, np.ndarray]):
-        """Send one shard's (x, t, y), with the current parameters."""
+    def submit(self, fn, part: tuple):
+        """Ask for ``fn(model, *part)``, with the current parameters."""
         for param, shared in zip(self._params, self._shared):
             np.copyto(shared, param.data)
         try:
-            self._conn.send(part)
+            self._conn.send((fn, part))
         except OSError:
             raise self._exited() from None
 
     def reply(self) -> tuple[bool, object]:
-        """(True, output array) or (False, the exception the shard raised)."""
+        """(True, the shard's result) or (False, the exception it raised)."""
         try:
             return self._conn.recv()
         except (EOFError, OSError):
             raise self._exited() from None
 
     def _exited(self) -> RuntimeError:
-        return RuntimeError(f"forward shard worker {self.pid} exited")
+        return RuntimeError(f"shard worker {self.pid} exited")
 
     def close(self):
         self._finalizer()
@@ -511,19 +533,19 @@ class _ShardWorker:
         _openblas_threads()[1](1)
         while True:
             try:
-                x, t, y = conn.recv()
+                fn, part = conn.recv()
             except EOFError:
                 return
             for param, shared in zip(self._params, self._shared):
                 np.copyto(param.data, shared)
             try:
-                reply = (True, model._forward(Tensor(x), t, y).data)
+                reply = (True, fn(model, *part))
             except Exception as exc:
                 reply = (False, exc)
             try:
                 conn.send(reply)
             except Exception as exc:  # an exception that does not pickle
-                conn.send((False, RuntimeError(f"forward shard: {type(exc).__name__}: {exc}")))
+                conn.send((False, RuntimeError(f"shard: {type(exc).__name__}: {exc}")))
 
 
 _WORKERS: weakref.WeakSet[_ShardWorker] = weakref.WeakSet()

@@ -4,10 +4,18 @@ clipping, CSV metrics, and checkpoints that resume bit-exactly.
 Reproducibility contract: all stochastic draws of a run come from one
 generator whose state is checkpointed, except the per-epoch shuffle, which is
 re-derived from (seed, epoch) so a mid-epoch resume sees the same batches.
+Each step draws its noise and timesteps, then its label dropout.
+
+A step without the alignment term splits its batch by ``model.shard_cuts``
+and runs the shards' losses and backwards data-parallel; the gradients are
+summed in shard order. A run's bits therefore depend on the number of usable
+cores, as they do on the BLAS build; with one shard the step is the serial
+one. A step with the alignment term always runs serially.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -17,8 +25,8 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import flow as F
-from .errors import ConfigError, NumericError
-from .model import DualLevelModel, config_from_dict, config_to_dict
+from .errors import ConfigError, InputError, NumericError
+from .model import DualLevelModel, config_from_dict, config_to_dict, shard_cuts
 from .tensor import Tape, Tensor
 
 METRICS_HEADER = "step,loss,loss_diff,loss_repa,grad_norm,lr"
@@ -124,6 +132,38 @@ def ema_update(ema: dict[str, np.ndarray], params: dict[str, Tensor], decay: flo
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1, epoch)))
     return rng.permutation(n)
+
+
+def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight: float,
+                align: Optional[tuple] = None):
+    """One shard of a train step: its losses and the gradients of ``weight`` times its loss.
+
+    ``weight`` is the shard's share of the batch, so that the shards'
+    gradients sum to those of the batch mean. ``align`` is (encoder,
+    projector, tap, align_weight) when the step has the alignment term.
+    Returns (loss_diff, loss_repa, loss) and the gradients by parameter name,
+    None for them when the loss is non-finite.
+    """
+    params = dict(model.params)
+    if align is not None:
+        params.update(align[1].params)
+    for t in params.values():
+        t.zero_grad()
+    with Tape() as tape:
+        patch_outs = [] if align is not None else None
+        loss_diff = F.loss_diffusion(model, batch, y, patch_outs=patch_outs)
+        loss, loss_repa = loss_diff, 0.0
+        if align is not None:
+            encoder, projector, tap, align_weight = align
+            feats = encoder.evaluate(batch.x0).astype(model.dtype)
+            loss_align = F.loss_alignment(patch_outs[tap - 1], feats, projector)
+            loss = loss_diff + Tensor(np.asarray(align_weight, model.dtype)) * loss_align
+            loss_repa = float(loss_align.data)
+    losses = (float(loss_diff.data), loss_repa, float(loss.data))
+    if not np.isfinite(losses[2]):
+        return losses, None
+    tape.backward(loss, seed=weight)
+    return losses, {name: t.grad for name, t in params.items()}
 
 
 def init_state(model: DualLevelModel, cfg: TrainConfig,
@@ -245,6 +285,13 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
                                              seed=cfg.seed, dtype=model.dtype)
     if state is None:
         state = init_state(model, cfg, projector)
+    if use_align:
+        missing = [name for name, t in projector.params.items() if state.params.get(name) is not t]
+        if missing:
+            raise ConfigError(
+                "alignment is on but the train state does not hold the projector's "
+                f"tensors {missing}; pass init_state the projector that train is given"
+            )
     if resume_from is not None:
         restore_state(model, state, resume_from)
     tap = cfg.align_tap if cfg.align_tap is not None else min(8, mcfg.patch_depth)
@@ -252,6 +299,8 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
         raise ConfigError(
             f"align_tap {tap} outside the patch pathway (depth {mcfg.patch_depth})"
         )
+    align = (encoder, projector, tap, cfg.align_weight) if use_align else None
+    H, W = mcfg.resolution
 
     images = np.asarray(dataset.images)
     labels = np.asarray(dataset.labels)
@@ -259,6 +308,9 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
     batches_per_epoch = n // cfg.batch_size
     if batches_per_epoch < 1:
         raise ConfigError(f"dataset of {n} samples is smaller than one batch ({cfg.batch_size})")
+    # checked before the label dropout could hide a bad id behind the null class
+    if np.any(labels < 0) or np.any(labels > mcfg.null_class):
+        raise InputError(f"dataset labels must lie in [0, {mcfg.null_class}], got {np.unique(labels)}")
     t_sampler = F.logit_normal_sampler(cfg.logit_normal_mean, cfg.logit_normal_std)
 
     metrics_file = None
@@ -284,31 +336,32 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
             y = labels[idx]
 
             batch = F.make_flow_batch(x0, state.rng, t_sampler)
+            if cfg.class_drop_prob > 0.0:
+                # classifier-free guidance: some labels become the null class
+                y = np.where(state.rng.random(len(y)) < cfg.class_drop_prob, mcfg.null_class, y)
             bad = False
             row = {"step": state.step, "loss": float("nan"), "loss_diff": float("nan"),
                    "loss_repa": 0.0, "grad_norm": 0.0, "lr": lr}
+            # the alignment projector is not in the workers' copies of the model
+            cuts = [(0, len(y))] if use_align else shard_cuts(len(y), H * W)
             try:
-                for t in state.params.values():
-                    t.zero_grad()
-                with Tape() as tape:
-                    patch_outs = [] if use_align else None
-                    loss_diff = F.loss_diffusion(model, batch, y, drop_rng=state.rng,
-                                                 drop_prob=cfg.class_drop_prob,
-                                                 patch_outs=patch_outs)
-                    loss = loss_diff
-                    if use_align:
-                        feats = encoder.evaluate(batch.x0).astype(model.dtype)
-                        loss_align = F.loss_alignment(patch_outs[tap - 1], feats, projector)
-                        loss = loss_diff + Tensor(np.asarray(cfg.align_weight, model.dtype)) * loss_align
-                        row["loss_repa"] = float(loss_align.data)
-                    row["loss_diff"] = float(loss_diff.data)
-                    row["loss"] = float(loss.data)
-                if not np.isfinite(row["loss"]):
+                if len(cuts) == 1:
+                    shards = [_loss_shard(model, batch, y, 1.0, align)]
+                else:
+                    # waits for another thread's shards: a serial step would have other bits
+                    shards = model.run_shards(_loss_shard, [
+                        (batch.rows(a, b), y[a:b], (b - a) / len(y)) for a, b in cuts], wait=True)
+                for i, key in enumerate(("loss_diff", "loss_repa", "loss")):
+                    row[key] = sum((b - a) / len(y) * losses[i]
+                                   for (a, b), (losses, _) in zip(cuts, shards))
+                if any(shard_grads is None for _, shard_grads in shards):
                     raise NumericError("loss non-finite")
-                tape.backward(loss)
                 grads = {}
                 for name, t in state.params.items():
-                    g = t.grad if t.grad is not None else np.zeros_like(t.data)
+                    # summed in shard order, so a run's bits do not depend on timing
+                    parts = [shard_grads[name] for _, shard_grads in shards
+                             if shard_grads.get(name) is not None]
+                    g = functools.reduce(np.add, parts) if parts else np.zeros_like(t.data)
                     if not np.all(np.isfinite(g)):
                         raise NumericError(f"gradient of {name} non-finite")
                     grads[name] = g

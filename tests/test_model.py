@@ -119,14 +119,6 @@ class TestConditioning:
         args = 0.5 * 1000.0 * freqs
         np.testing.assert_allclose(feats[0], np.concatenate([np.sin(args), np.cos(args)]))
 
-    def test_class_drop_uses_rng(self):
-        m = toy_model(seed=5)
-        rng = np.random.default_rng(0)
-        y = np.zeros(512, dtype=np.int64)
-        c_drop, _ = m.embed_condition(np.full(512, 0.5), y, drop_rng=rng, drop_prob=1.0)
-        c_null, _ = m.embed_condition(np.full(512, 0.5), np.full(512, m.config.null_class))
-        np.testing.assert_array_equal(c_drop.data, c_null.data)
-
 
 class TestForward:
     def test_shape_preserving(self):
@@ -224,28 +216,6 @@ def desk_inputs(batch):
     rng = np.random.default_rng(62)
     return (rng.standard_normal((batch, 3, 16, 16)).astype(np.float32),
             rng.uniform(size=batch), rng.integers(0, 4, batch))
-
-
-@pytest.fixture
-def shard_sizes(monkeypatch):
-    """Two usable cores; returns the batch sizes of the shards, those sent to workers first."""
-    if M._openblas_threads() is None:
-        pytest.skip("sharding needs OpenBLAS's thread-count setter")
-    monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1})
-    sizes = []
-    serial, submit = M.DualLevelModel._forward, M._ShardWorker.submit
-
-    def counted(self, x, *args, **kwargs):
-        sizes.append(x.shape[0])
-        return serial(self, x, *args, **kwargs)
-
-    def counted_submit(self, part):
-        sizes.append(part[0].shape[0])
-        return submit(self, part)
-
-    monkeypatch.setattr(M.DualLevelModel, "_forward", counted)
-    monkeypatch.setattr(M._ShardWorker, "submit", counted_submit)
-    return sizes
 
 
 class TestShardedForward:

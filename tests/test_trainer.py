@@ -1,17 +1,22 @@
 """Optimizer oracles, EMA, clipping, loop determinism, checkpoint resume."""
 
 import dataclasses
+import os
+import signal
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from dualdit import checkpoint as C
 from dualdit import data as D
+from dualdit import flow as F
+from dualdit import model as M
 from dualdit import trainer as TR
-from dualdit.errors import ConfigError, NumericError, ParseError, ShapeError
+from dualdit.errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from dualdit.model import DualLevelModel, toy_config
-from dualdit.tensor import Tensor
+from dualdit.tensor import Tape, Tensor
 
 
 def tiny_setup(total_steps=8, align=0.0, seed=0, **train_kw):
@@ -160,6 +165,44 @@ class TestTrainLoop:
                                          lr_after_switch=1e-5, clip_after_switch=0.5)
         state = TR.train(model, dataset, cfg)
         assert [m["lr"] for m in state.metrics] == [1e-3] * 3 + [1e-5] * 3
+
+    def test_class_drop_draws_after_the_flow_batch(self, monkeypatch):
+        # the dropout mask is the generator's next draw after the noise and timesteps
+        seen = []
+        real = F.loss_diffusion
+        monkeypatch.setattr(F, "loss_diffusion",
+                            lambda model, batch, y, **kw: seen.append(y) or real(model, batch, y, **kw))
+        for prob in (1.0, 0.3, 0.0):
+            model, dataset, cfg = tiny_setup(total_steps=1, class_drop_prob=prob)
+            state = TR.train(model, dataset, cfg)
+            rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+            idx = TR._epoch_permutation(cfg.seed, 0, len(dataset.labels))[:cfg.batch_size]
+            F.make_flow_batch(dataset.images[idx], rng, F.logit_normal_sampler())
+            want = dataset.labels[idx].copy()
+            if prob > 0.0:
+                want[rng.random(cfg.batch_size) < prob] = model.config.null_class
+            np.testing.assert_array_equal(seen.pop(), want)
+            assert state.rng.random() == rng.random()  # no other draw, and none at 0
+
+    def test_bad_label_is_refused_even_when_dropped(self):
+        model, dataset, cfg = tiny_setup(total_steps=1, class_drop_prob=1.0)
+        dataset.labels[3] = model.config.null_class + 1
+        with pytest.raises(InputError, match=r"\[0, 2\]"):
+            TR.train(model, dataset, cfg)
+
+    def test_alignment_needs_the_projector_in_the_state(self):
+        # a projector built by train would not be in the optimizer's records
+        model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
+        state = TR.init_state(model, cfg)
+        before = {key: a.copy() for key, a in state_arrays(state).items()}
+        with pytest.raises(ConfigError, match=r"'repa\.fc1\.w', 'repa\.fc1\.b'"):
+            TR.train(model, dataset, cfg, state=state)
+        assert state.step == 0 and state.metrics == []
+        assert_unchanged(state, before)
+        projector = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim)
+        state = TR.init_state(model, cfg, projector)
+        TR.train(model, dataset, cfg, state=state, projector=projector)
+        assert state.step == 2
 
     def test_alignment_term_logged(self):
         model, dataset, cfg = tiny_setup(total_steps=3, align=0.5)
@@ -400,3 +443,191 @@ class TestCheckpointFormat:
         with pytest.raises(ParseError, match="'rec_a' appears twice") as exc:
             C.load(path)
         assert exc.value.offset == at
+
+
+def crit9_setup(total_steps, **train_kw):
+    """The criterion-9 tiny recipe (tests/test_acceptance.py)."""
+    spec = D.ToyDatasetSpec(kind="solid_color", num_classes=2, resolution=(4, 4),
+                            samples_per_class=16, noise_std=0.05, seed=31)
+    cfg = TR.TrainConfig(lr=1e-3, batch_size=8, total_steps=total_steps,
+                         align_weight=0.0, seed=31, **train_kw)
+    model = DualLevelModel(toy_config(resolution=(4, 4), num_classes=2,
+                                      patch_depth=1, pixel_depth=1), seed=31)
+    return model, D.make_dataset(spec), cfg
+
+
+DESK = M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64, pixel_dim=8, heads=4,
+                     patch_size=4, num_classes=3, resolution=(16, 16), channels=3)
+
+
+CLIP = TR.clip_gradients
+
+
+def spy_gradients(monkeypatch) -> dict:
+    """A dict that each train step fills with copies of its summed, pre-clip gradients."""
+    seen = {}
+    monkeypatch.setattr(TR, "clip_gradients", lambda grads, norm: seen.update(
+        {k: g.copy() for k, g in grads.items()}) or CLIP(grads, norm))
+    return seen
+
+
+def desk_step_grads(monkeypatch):
+    """The pre-clip gradients of one criterion-8 train step from a fixed start."""
+    spec = D.ToyDatasetSpec(kind="solid_color", num_classes=3, resolution=(16, 16),
+                            samples_per_class=64, noise_std=0.1, seed=11)
+    cfg = TR.TrainConfig(lr=1e-3, batch_size=64, total_steps=1, align_weight=0.0, seed=11)
+    model = DualLevelModel(DESK, seed=11)
+    rng = np.random.default_rng(12)
+    # zero-initialized gates and heads would leave most gradients at zero
+    for t in model.params.values():
+        t.data += rng.normal(scale=0.02, size=t.shape).astype(np.float32)
+    seen = spy_gradients(monkeypatch)
+    TR.train(model, D.make_dataset(spec), cfg)
+    return seen
+
+
+@pytest.fixture
+def two_cores(shard_sizes, monkeypatch):
+    """Two usable cores and no floor on the shard size, so the tiny recipe shards."""
+    monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 1)
+    return shard_sizes
+
+
+class TestShardedTraining:
+    def test_sharded_runs_are_bitwise_reproducible(self, two_cores):
+        runs = []
+        for _ in range(2):
+            model, dataset, cfg = crit9_setup(8)
+            state = TR.train(model, dataset, cfg)
+            runs.append((TR.metrics_to_csv(state.metrics),
+                         {k: t.data.tobytes() for k, t in model.params.items()}))
+        assert two_cores == [4, 4] * 16
+        assert runs[0] == runs[1]
+
+    def test_sharded_resume_matches_the_uninterrupted_run(self, two_cores, tmp_path):
+        model_full, dataset, cfg = crit9_setup(10)
+        full = TR.train(model_full, dataset, cfg)
+        model_half, _, cfg_half = crit9_setup(5)
+        TR.save_checkpoint(tmp_path / "mid.ckpt", model_half, TR.train(model_half, dataset, cfg_half))
+        model_res, _, cfg_res = crit9_setup(10)
+        resumed = TR.train(model_res, dataset, cfg_res, resume_from=tmp_path / "mid.ckpt")
+        assert TR.metrics_to_csv(full.metrics[5:]) == TR.metrics_to_csv(resumed.metrics)
+        for k, t in model_full.params.items():
+            assert t.data.tobytes() == model_res.params[k].data.tobytes(), k
+
+    def test_one_shard_is_the_serial_step(self, shard_sizes, monkeypatch):
+        # a batch whose shards would keep too few pixel tokens runs in one, with weight 1
+        monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 10**9)
+        model, dataset, cfg = crit9_setup(3)
+        state = TR.train(model, dataset, cfg)
+        assert shard_sizes == [8] * 3 and state.skipped_steps == 0
+
+    def test_desk_step_gradient_matches_the_serial_step(self, shard_sizes, monkeypatch):
+        sharded = desk_step_grads(monkeypatch)
+        assert shard_sizes == [32, 32]
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0})
+        serial = desk_step_grads(monkeypatch)
+        assert shard_sizes == [32, 32, 64] and sharded.keys() == serial.keys()
+        worst = max(np.abs(sharded[k] - g).max() / np.abs(g).max() for k, g in serial.items())
+        assert worst <= 1e-4
+
+    def test_gradients_sum_in_shard_order(self, two_cores, monkeypatch):
+        # three shards, since a sum of two rounds the same either way round
+        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        seen = spy_gradients(monkeypatch)
+        model, dataset, cfg = crit9_setup(1, class_drop_prob=0.0)
+        TR.train(model, dataset, cfg)
+        assert two_cores == [3, 3, 2]
+        # the same step by hand, from the same start and the same draws
+        model, dataset, cfg = crit9_setup(1, class_drop_prob=0.0)
+        idx = TR._epoch_permutation(cfg.seed, 0, len(dataset.labels))[:cfg.batch_size]
+        rng = np.random.default_rng(np.random.PCG64(cfg.seed))
+        batch = F.make_flow_batch(dataset.images[idx], rng, F.logit_normal_sampler())
+        shards = [TR._loss_shard(model, batch.rows(a, b), dataset.labels[idx][a:b], (b - a) / 8)[1]
+                  for a, b in ((0, 2), (2, 5), (5, 8))]
+        for name, g in seen.items():
+            want = (shards[0][name] + shards[1][name]) + shards[2][name]
+            assert g.tobytes() == want.tobytes(), name
+
+    def test_a_step_waits_for_another_threads_shards(self, two_cores):
+        # running serially instead would give the step other bits
+        model, dataset, cfg = crit9_setup(1)
+        M._SHARD_LOCK.acquire()
+        release = threading.Timer(0.2, M._SHARD_LOCK.release)
+        release.start()
+        try:
+            state = TR.train(model, dataset, cfg)
+        finally:
+            release.join(timeout=10)
+        assert two_cores == [4, 4] and state.skipped_steps == 0 and not release.is_alive()
+
+    def test_non_finite_loss_in_a_worker_skips_the_step(self, two_cores, monkeypatch):
+        caller = os.getpid()
+        real = F.loss_diffusion
+
+        def loss(model, batch, y, **kw):
+            if os.getpid() != caller:
+                raise NumericError("diffusion loss is non-finite")
+            return real(model, batch, y, **kw)
+
+        monkeypatch.setattr(F, "loss_diffusion", loss)
+        model, dataset, cfg = crit9_setup(2)
+        before = {k: t.data.copy() for k, t in model.params.items()}
+        state = TR.train(model, dataset, cfg)
+        assert two_cores == [4, 4] * 2 and state.skipped_steps == 2
+        for m in state.metrics:
+            assert np.isnan(m["loss"]) and m["grad_norm"] == 0.0
+        for k, t in model.params.items():
+            assert t.data.tobytes() == before[k].tobytes(), k
+
+    def test_a_dead_worker_fails_one_step_and_is_replaced(self, two_cores):
+        model, dataset, cfg = crit9_setup(1)
+        state = TR.train(model, dataset, cfg)
+        [worker] = model._shard_workers
+        os.kill(worker.pid, signal.SIGKILL)
+        cfg.total_steps = 3
+        with pytest.raises(RuntimeError, match="exited"):
+            TR.train(model, dataset, cfg, state=state)
+        assert state.step == 1 and model._shard_workers == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(worker.pid, os.WNOHANG)  # reaped
+        TR.train(model, dataset, cfg, state=state)
+        assert state.step == 3 and state.skipped_steps == 0
+        assert model._shard_workers[0].pid != worker.pid
+
+    def test_taped_caller_and_alignment_fork_no_worker(self, two_cores, monkeypatch):
+        def no_workers(*args):
+            raise AssertionError("forked a worker")
+
+        monkeypatch.setattr(M, "_ShardWorker", no_workers)
+        model, dataset, cfg = crit9_setup(2)
+        with Tape():
+            TR.train(model, dataset, cfg)
+        model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
+        state = TR.train(model, dataset, cfg)
+        assert two_cores == [8] * 4 and state.skipped_steps == 0
+
+    def test_blas_threads_pinned_then_restored(self, two_cores, monkeypatch):
+        get_threads, set_threads = M._openblas_threads()
+        seen = []
+        counted = M.DualLevelModel._forward
+
+        def spy(self, *args, **kwargs):
+            seen.append(get_threads())
+            return counted(self, *args, **kwargs)
+
+        monkeypatch.setattr(M.DualLevelModel, "_forward", spy)
+        model, dataset, cfg = crit9_setup(1)
+        threads = get_threads()
+        try:
+            set_threads(2)
+            want = get_threads()
+            state = TR.train(model, dataset, cfg)
+            assert seen == [1] and get_threads() == want
+            os.kill(model._shard_workers[0].pid, signal.SIGKILL)
+            cfg.total_steps = 2
+            with pytest.raises(RuntimeError, match="exited"):
+                TR.train(model, dataset, cfg, state=state)
+            assert get_threads() == want
+        finally:
+            set_threads(threads)
