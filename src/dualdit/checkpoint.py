@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import struct
 from typing import Any
@@ -111,7 +112,7 @@ def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
             raise ParseError(f"record {name!r} appears twice", offset=name_at)
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
-        n = int(np.prod(dims)) if ndim else 1
+        n = math.prod(dims)  # Python ints, so a huge record fails the size check instead of wrapping
         data = np.frombuffer(take(4 * n, f"data of {name}"), dtype="<f4")
         arrays[name] = data.reshape(dims).copy()
     if off != len(blob):

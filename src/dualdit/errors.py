@@ -14,7 +14,11 @@ class InputError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A computation produced non-finite values."""
+    """A computation produced non-finite values; carries the solver step, if any."""
+
+    def __init__(self, message, step=None):
+        super().__init__(message)
+        self.step = step
 
 
 class ParseError(ValueError):

@@ -217,7 +217,7 @@ class DualLevelModel:
                                                 head_dim, self.dtype)
 
         self.params = store.params
-        # forked copies that run the sharded forward's other shards, started by its first call
+        # forked copies that run the other shards of run_shards, started by its first call
         self._shard_workers: list[_ShardWorker] = []
 
     def _mod_group_count(self) -> int:
@@ -296,12 +296,6 @@ class DualLevelModel:
         """Velocity prediction; output shape equals input shape.
 
         ``patch_outs``, when given, collects the patch tokens after each patch block.
-
-        An untaped forward with neither ``diag`` nor ``patch_outs`` splits its
-        batch by ``shard_cuts`` and runs the shards with ``run_shards``; it
-        stays serial while another thread runs shards. No sample's arithmetic
-        depends on its batch neighbours, so the output is bitwise the serial
-        one wherever BLAS runs a shard's GEMMs with the batch's kernel.
         """
         cfg = self.config
         if not isinstance(x, Tensor):
@@ -314,23 +308,40 @@ class DualLevelModel:
         t, y = np.asarray(t), np.asarray(y)
         if t.shape != (Bsz,) or y.shape != (Bsz,):
             raise ShapeError(f"t {t.shape} and y {y.shape} must both be ({Bsz},) for a batch of {Bsz}")
-        cuts = shard_cuts(Bsz, H * W) if diag is None and patch_outs is None else [(0, Bsz)]
-        # waiting for another thread's shards would gain nothing over running serially
-        outs = self.run_shards(_forward_shard, [(x.data[a:b], t[a:b], y[a:b]) for a, b in cuts],
-                               wait=False) if len(cuts) > 1 else None
-        if outs is None:
-            return self._forward(x, t, y, diag, patch_outs)
-        return Tensor(np.concatenate([out.data for out in outs]), requires_grad=outs[0].requires_grad)
+        p, L = cfg.patch_size, cfg.num_patches
+        c, t_emb = self.embed_condition(t, y)
+        tokens = patchify(x, p)
+        s = B.linear(tokens, self.patch_embed)
+        s = self.patch_pathway(s, c, patch_outs)
+
+        if cfg.variant == "vanilla_dit":
+            out = B.linear(s, self.patch_head)
+            return unpatchify(out, p, cfg.grid, C)
+
+        s_cond = s + (c if cfg.cond_uses_class else t_emb)
+        cond_flat = s_cond.reshape(Bsz * L, cfg.patch_dim)
+        if cfg.variant == "A_global":
+            # global variant conditions every pixel on c alone; broadcast over patches
+            ones = Tensor(np.ones((Bsz, L, 1), dtype=self.dtype))
+            cond_flat = (c * ones).reshape(Bsz * L, cfg.patch_dim)
+
+        # pixel tokens are the patch tokens' (p, p, C) layout split per pixel
+        X = B.linear(tokens.reshape(Bsz * L, p * p, C), self.pixel_embed)
+        for blk in self.pit_blocks:
+            X = self.pit_block(X, cond_flat, blk, diag)
+        out = B.linear(X, self.pixel_head)
+        return unpatchify(out.reshape(Bsz, L, p * p * C), p, cfg.grid, C)
 
     def run_shards(self, fn, parts: list[tuple], wait: bool) -> Optional[list]:
         """``fn(self, *part)`` for each part, in parallel; the results in part order.
 
         This process runs the first part and forked copies of the model (kept
         on it, forked by the first call that needs them) the others, all with
-        OpenBLAS on one thread. ``fn`` must be a module-level function, since
-        it reaches a worker by reference. The BLAS thread count is
-        process-wide, so one call runs at a time: with ``wait`` False a call
-        that finds another running returns None at once. A part's exception
+        OpenBLAS on one thread. Sampling runs a shard's trajectories through
+        it, the train step a shard's loss and backward. ``fn`` must be a
+        module-level function, since it reaches a worker by reference. The
+        BLAS thread count is process-wide, so one call runs at a time: with
+        ``wait`` False a call that finds another running returns None at once. A part's exception
         is raised here, that of the first part in order when several raise.
         """
         if not _SHARD_LOCK.acquire(blocking=wait):
@@ -367,35 +378,6 @@ class DualLevelModel:
                 raise value
         return [first] + [value for _, value in replies]
 
-    def _forward(self, x: Tensor, t: np.ndarray, y: np.ndarray, diag: Optional[dict] = None,
-                 patch_outs: Optional[list] = None) -> Tensor:
-        """``forward`` on one batch or shard, in the calling thread."""
-        cfg = self.config
-        Bsz, C = x.shape[:2]
-        p, L = cfg.patch_size, cfg.num_patches
-        c, t_emb = self.embed_condition(t, y)
-        tokens = patchify(x, p)
-        s = B.linear(tokens, self.patch_embed)
-        s = self.patch_pathway(s, c, patch_outs)
-
-        if cfg.variant == "vanilla_dit":
-            out = B.linear(s, self.patch_head)
-            return unpatchify(out, p, cfg.grid, C)
-
-        s_cond = s + (c if cfg.cond_uses_class else t_emb)
-        cond_flat = s_cond.reshape(Bsz * L, cfg.patch_dim)
-        if cfg.variant == "A_global":
-            # global variant conditions every pixel on c alone; broadcast over patches
-            ones = Tensor(np.ones((Bsz, L, 1), dtype=self.dtype))
-            cond_flat = (c * ones).reshape(Bsz * L, cfg.patch_dim)
-
-        # pixel tokens are the patch tokens' (p, p, C) layout split per pixel
-        X = B.linear(tokens.reshape(Bsz * L, p * p, C), self.pixel_embed)
-        for blk in self.pit_blocks:
-            X = self.pit_block(X, cond_flat, blk, diag)
-        out = B.linear(X, self.pixel_head)
-        return unpatchify(out.reshape(Bsz, L, p * p * C), p, cfg.grid, C)
-
     # -- parameter plumbing --------------------------------------------------
 
     def num_params(self) -> int:
@@ -412,8 +394,9 @@ class DualLevelModel:
 # ---------------------------------------------------------------------------
 
 # Pixel tokens (batch x H x W) each shard must keep. Desk model
-# (16x16, p=4, float32) on a 2-core Xeon, median ms of the serial forward /
-# two shards (one in a worker), blocks of 8 calls 0.3 s apart, two runs:
+# (16x16, p=4, float32) on a 2-core Xeon, median ms of one forward run
+# serially / split into two shards (one in a worker, a join per forward),
+# blocks of 8 calls 0.3 s apart, two runs:
 #   B=8  (1024 per shard)   8.1/5.6
 #   B=16 (2048 per shard)  12.3/8.2   13.7/9.7
 #   B=24 (3072 per shard)  17.3/10.8  20.0/12.8
@@ -434,19 +417,15 @@ def shard_cuts(batch: int, pixels: int) -> list[tuple[int, int]]:
 
     One shard per usable core as long as each keeps ``_MIN_SHARD_PIXELS``
     pixel tokens; shard i covers rows batch*i//n to batch*(i+1)//n. A single
-    shard while a tape records (a taped forward builds its graph here, and a
-    worker forked then would copy the records) or when no OpenBLAS thread
-    setter is found.
+    shard while a tape records (a taped call builds its graph in this
+    process, and a worker forked then would copy the records) or when no
+    OpenBLAS thread setter is found.
     """
     n = 1
     if T.active_tape() is None and _openblas_threads() is not None:
         per_shard = -(-_MIN_SHARD_PIXELS // pixels)
         n = max(1, min(len(os.sched_getaffinity(0)), batch // per_shard))
     return [(batch * i // n, batch * (i + 1) // n) for i in range(n)]
-
-
-def _forward_shard(model: DualLevelModel, x: np.ndarray, t: np.ndarray, y: np.ndarray) -> Tensor:
-    return model._forward(Tensor(x), t, y)
 
 
 @functools.cache

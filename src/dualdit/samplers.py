@@ -16,6 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import model as M
 from .errors import ConfigError, NumericError
 
 SOLVERS = ("euler", "heun", "flow_dpm")
@@ -179,7 +180,7 @@ def integrate(velocity_fn: Callable[[np.ndarray, float], np.ndarray], x: np.ndar
         else:
             x = flow_dpm_step(history, x, t, t_next, velocity_fn)
         if not np.all(np.isfinite(x)):
-            raise NumericError(f"sampler state became non-finite at step {i} (t={t:.4f})")
+            raise NumericError(f"sampler state became non-finite at step {i} (t={t:.4f})", step=i)
     return x
 
 
@@ -190,6 +191,13 @@ def sample(model, cfg: SamplerConfig, y: np.ndarray,
     Pure function of (model parameters, config, seed): noise comes from a
     dedicated generator seeded with cfg.seed. The terminal state is clamped
     to [-1, 1]; intermediate states are left untouched.
+
+    No trajectory depends on its batch neighbours, so the batch is cut by
+    ``dualdit.model.shard_cuts`` and each shard runs its whole ODE through
+    the model's ``run_shards``, one join per batch. It runs here in one
+    piece while another thread runs shards, or when the model has no
+    ``run_shards``. Either way the images are bitwise the serial run's
+    wherever BLAS runs a shard's GEMMs with the whole batch's kernel.
     """
     mc = model.config
     y = np.asarray(y, dtype=np.int64)
@@ -200,19 +208,39 @@ def sample(model, cfg: SamplerConfig, y: np.ndarray,
         x = rng.standard_normal(shape).astype(model.dtype)
     else:
         x = np.asarray(initial, dtype=model.dtype).reshape(shape).copy()
-    y_null = np.full(n, mc.null_class, dtype=np.int64)
+    cuts = M.shard_cuts(n, mc.resolution[0] * mc.resolution[1])
+    outs = None
+    if len(cuts) > 1 and hasattr(model, "run_shards"):
+        outs = model.run_shards(_sample_rows, [(x[a:b], y[a:b], cfg) for a, b in cuts], wait=False)
+    if outs is None:
+        outs = [_sample_rows(model, x, y, cfg)]
+    failed = [out for out in outs if isinstance(out, NumericError)]
+    if failed:
+        # the serial run stops at the first step where any row fails
+        raise min(failed, key=lambda e: e.step)
+    return np.clip(np.concatenate(outs), -1.0, 1.0)
+
+
+def _sample_rows(model, x: np.ndarray, y: np.ndarray, cfg: SamplerConfig):
+    """The unclipped trajectories from noise ``x`` for classes ``y``.
+
+    A NumericError that stops them is returned, not raised, so that
+    ``sample`` can name the earliest failing step over all shards.
+    """
+    y_null = np.full(len(y), model.config.null_class, dtype=np.int64)
 
     def velocity_fn(state, t):
-        tt = np.full(n, t)
+        tt = np.full(len(y), t)
         v_c = model.forward(state, tt, y).data
         if not _guided(cfg.cfg_scale, t, cfg.cfg_interval):
             return v_c
         v_u = model.forward(state, tt, y_null).data
         return guided_velocity(v_c, v_u, cfg.cfg_scale, t, cfg.cfg_interval)
 
-    schedule = make_schedule(cfg.steps, cfg.shift_alpha)
-    x = integrate(velocity_fn, x, schedule, cfg.solver)
-    return np.clip(x, -1.0, 1.0)
+    try:
+        return integrate(velocity_fn, x, make_schedule(cfg.steps, cfg.shift_alpha), cfg.solver)
+    except NumericError as exc:
+        return exc
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ clipping, CSV metrics, and checkpoints that resume bit-exactly.
 Reproducibility contract: all stochastic draws of a run come from one
 generator whose state is checkpointed, except the per-epoch shuffle, which is
 re-derived from (seed, epoch) so a mid-epoch resume sees the same batches.
-Each step draws its noise and timesteps, then its label dropout.
+Each step draws its noise and timesteps, then its label dropout; a step that
+raises puts the generator back, so calling ``train`` again redoes it exactly.
 
 A step without the alignment term splits its batch by ``model.shard_cuts``
 and runs the shards' losses and backwards data-parallel; the gradients are
@@ -335,16 +336,17 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
             x0 = images[idx]
             y = labels[idx]
 
-            batch = F.make_flow_batch(x0, state.rng, t_sampler)
-            if cfg.class_drop_prob > 0.0:
-                # classifier-free guidance: some labels become the null class
-                y = np.where(state.rng.random(len(y)) < cfg.class_drop_prob, mcfg.null_class, y)
             bad = False
             row = {"step": state.step, "loss": float("nan"), "loss_diff": float("nan"),
                    "loss_repa": 0.0, "grad_norm": 0.0, "lr": lr}
-            # the alignment projector is not in the workers' copies of the model
-            cuts = [(0, len(y))] if use_align else shard_cuts(len(y), H * W)
+            rng_state = state.rng.bit_generator.state
             try:
+                batch = F.make_flow_batch(x0, state.rng, t_sampler)
+                if cfg.class_drop_prob > 0.0:
+                    # classifier-free guidance: some labels become the null class
+                    y = np.where(state.rng.random(len(y)) < cfg.class_drop_prob, mcfg.null_class, y)
+                # the alignment projector is not in the workers' copies of the model
+                cuts = [(0, len(y))] if use_align else shard_cuts(len(y), H * W)
                 if len(cuts) == 1:
                     shards = [_loss_shard(model, batch, y, 1.0, align)]
                 else:
@@ -367,6 +369,10 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
                     grads[name] = g
             except NumericError:
                 bad = True
+            except BaseException:
+                # the step did not happen, so a retry must redraw the same noise and dropout
+                state.rng.bit_generator.state = rng_state
+                raise
 
             if bad:
                 state.skipped_steps += 1

@@ -10,7 +10,7 @@ import pytest
 from dualdit import blocks as B
 from dualdit import model as M
 from dualdit import samplers as S
-from dualdit.errors import ConfigError, InputError, ShapeError
+from dualdit.errors import ConfigError, InputError, NumericError, ShapeError
 from dualdit.tensor import Tape, Tensor, grad_check
 
 
@@ -218,13 +218,31 @@ def desk_inputs(batch):
             rng.uniform(size=batch), rng.integers(0, 4, batch))
 
 
+GUIDED = dict(cfg_scale=2.0, cfg_interval=(0.1, 1.0))
+
+
+def one_core(monkeypatch):
+    monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0})
+
+
+def no_workers(*args):
+    raise AssertionError("forked a worker")
+
+
 class TestShardedForward:
-    def test_desk_batch_is_bitwise_serial(self, shard_sizes):
+    """Sampling runs a shard of trajectories per core, each shard's forwards
+    whole in one process; ``forward`` itself never shards."""
+
+    def test_desk_batch_is_bitwise_serial(self, shard_sizes, monkeypatch):
         model = desk_model()
-        x, t, y = desk_inputs(64)
-        sharded = model.forward(x, t, y)
-        assert shard_sizes == [32, 32]
-        assert sharded.data.tobytes() == model._forward(Tensor(x), t, y).data.tobytes()
+        y = np.arange(64) % 3
+        cfgs = [S.SamplerConfig(solver=solver, steps=3, seed=60, **GUIDED) for solver in S.SOLVERS]
+        sharded = [S.sample(model, cfg, y) for cfg in cfgs]
+        # each solver: the worker's shard, then this process's forwards (euler 6, heun 11, flow_dpm 6)
+        assert shard_sizes == [32] * (1 + 6 + 1 + 11 + 1 + 6)
+        one_core(monkeypatch)
+        for cfg, images in zip(cfgs, sharded):
+            assert images.tobytes() == S.sample(model, cfg, y).tobytes(), cfg.solver
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     @pytest.mark.parametrize("ptc_rate", [1, 2])
@@ -232,23 +250,23 @@ class TestShardedForward:
         monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 1)
         m = toy_model(seed=63, variant=variant, ptc_rate=ptc_rate)
         randomize_all(m, np.random.default_rng(64))
-        rng = np.random.default_rng(65)
-        x, t, y = rng.normal(size=(5, 3, 8, 8)), rng.uniform(size=5), rng.integers(0, 4, 5)
-        sharded = m.forward(x, t, y)
-        assert sorted(shard_sizes) == [2, 3]
-        assert sharded.data.tobytes() == m._forward(Tensor(x), t, y).data.tobytes()
+        cfg = S.SamplerConfig(solver="flow_dpm", steps=2, cfg_scale=2.0, seed=65)
+        y = np.arange(5) % 4
+        sharded = S.sample(m, cfg, y)
+        assert shard_sizes == [3] + [2] * 4
+        one_core(monkeypatch)
+        assert sharded.tobytes() == S.sample(m, cfg, y).tobytes()
 
     def test_guided_sample_is_bitwise_serial(self, shard_sizes, monkeypatch):
         model = desk_model()
-        cfg = S.SamplerConfig(solver="flow_dpm", steps=4, cfg_scale=2.0,
-                              cfg_interval=(0.1, 1.0), seed=66)
+        cfg = S.SamplerConfig(solver="flow_dpm", steps=4, seed=66, **GUIDED)
         sharded = S.sample(model, cfg, np.arange(32) % 3)
-        assert set(shard_sizes) == {16}
+        assert shard_sizes == [16] * (1 + 8)
         monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 10**9)
         assert sharded.tobytes() == S.sample(model, cfg, np.arange(32) % 3).tobytes()
 
     def test_one_call_per_nfe_on_a_wrapped_instance(self, shard_sizes):
-        # a profiler that counts calls of the instance's forward sees no shard
+        # a profiler that counts calls of the instance's forward sees this process's shard
         model = desk_model()
         calls = []
 
@@ -257,69 +275,105 @@ class TestShardedForward:
             return type(model).forward(model, *args, **kwargs)
 
         model.forward = counted_forward
-        cfg = S.SamplerConfig(solver="flow_dpm", steps=32, cfg_scale=2.0,
-                              cfg_interval=(0.1, 1.0), shift_alpha=1.0, seed=67)
+        cfg = S.SamplerConfig(solver="flow_dpm", steps=32, shift_alpha=1.0, seed=67, **GUIDED)
         S.sample(model, cfg, np.arange(32) % 3)
-        assert calls == [32] * 61
-        assert shard_sizes == [16] * 122
+        assert calls == [16] * 61
+        assert shard_sizes == [16] * (1 + 61)
 
     def test_taped_forward_forks_no_worker(self, shard_sizes, monkeypatch):
-        def no_workers(*args):
-            raise AssertionError("a taped forward forked a worker")
-
         monkeypatch.setattr(M, "_ShardWorker", no_workers)
         model = desk_model()
         x, t, y = desk_inputs(64)
+        model.forward(x, t, y)
         with Tape() as tape:
             model.forward(x, t, y)
-        assert shard_sizes == [64] and len(tape) > 0
+            S.sample(model, S.SamplerConfig(solver="euler", steps=1), y)
+        assert shard_sizes == [64] * 3 and len(tape) > 0
 
     def test_serial_without_the_setter_or_with_the_region_taken(self, shard_sizes, monkeypatch):
         model = desk_model()
-        x, t, y = desk_inputs(64)
+        cfg = S.SamplerConfig(solver="euler", steps=1)
+        y = np.arange(64) % 3
         with M._SHARD_LOCK:
-            model.forward(x, t, y)
+            S.sample(model, cfg, y)
         monkeypatch.setattr(M, "_openblas_threads", lambda: None)
-        model.forward(x, t, y)
+        S.sample(model, cfg, y)
         assert shard_sizes == [64, 64]
 
     def test_bad_class_id_in_a_worker_shard(self, shard_sizes):
         model = desk_model()
-        x, t, y = desk_inputs(64)
+        y = np.arange(64) % 3
         y[40] = DESK.num_classes + 1
         with pytest.raises(InputError):
-            model.forward(x, t, y)
+            S.sample(model, S.SamplerConfig(solver="euler", steps=1), y)
         assert shard_sizes == [32, 32]
 
-    def test_worker_computes_with_current_parameters(self, shard_sizes):
+    def test_worker_rows_that_blow_up_raise_the_serial_error(self, shard_sizes, monkeypatch):
         model = desk_model()
-        x, t, y = desk_inputs(64)
-        model.forward(x, t, y)
+        model.class_embed.data[2] = 1e30
+        y = np.where(np.arange(64) < 32, 0, 2)  # class 2 only in the worker's rows
+        cfg = S.SamplerConfig(solver="flow_dpm", steps=4, seed=68, **GUIDED)
+        with pytest.raises(NumericError) as sharded:
+            S.sample(model, cfg, y)
+        assert shard_sizes == [32] * (1 + 8)
+        one_core(monkeypatch)
+        with pytest.raises(NumericError) as serial, np.errstate(over="ignore", invalid="ignore"):
+            S.sample(model, cfg, y)
+        assert str(sharded.value) == str(serial.value)
+
+    def test_the_earliest_failing_step_of_any_shard_is_named(self, shard_sizes, monkeypatch):
+        forward = M.DualLevelModel.forward
+
+        def failing(self, x, t, y, **kwargs):
+            # class 1 goes non-finite from t=0.5, class 2 from t=0.75
+            out = forward(self, x, t, y, **kwargs)
+            out.data[(y == 1) & (t <= 0.5) | (y == 2) & (t <= 0.75)] = np.nan
+            return out
+
+        monkeypatch.setattr(M.DualLevelModel, "forward", failing)
+        model = desk_model()
+        y = np.where(np.arange(64) < 32, 1, 2)  # this process's shard fails later than the worker's
+        cfg = S.SamplerConfig(solver="euler", steps=4, seed=69)
+        with pytest.raises(NumericError, match="at step 1 ") as sharded:
+            S.sample(model, cfg, y)
+        assert shard_sizes == [32] * (1 + 3)
+        one_core(monkeypatch)
+        with pytest.raises(NumericError) as serial:
+            S.sample(model, cfg, y)
+        assert str(sharded.value) == str(serial.value)
+
+    def test_worker_computes_with_current_parameters(self, shard_sizes, monkeypatch):
+        model = desk_model()
+        cfg = S.SamplerConfig(solver="euler", steps=2)
+        y = np.arange(64) % 3
+        S.sample(model, cfg, y)
         for p in model.params.values():
             p.data *= 1.5
-        sharded = model.forward(x, t, y)
-        assert shard_sizes == [32, 32] * 2
-        assert sharded.data.tobytes() == model._forward(Tensor(x), t, y).data.tobytes()
+        sharded = S.sample(model, cfg, y)
+        assert shard_sizes == [32] * 6
+        one_core(monkeypatch)
+        assert sharded.tobytes() == S.sample(model, cfg, y).tobytes()
 
-    def test_a_dead_worker_fails_one_forward_and_is_replaced(self, shard_sizes):
+    def test_a_dead_worker_fails_one_sample_and_is_replaced(self, shard_sizes, monkeypatch):
         model = desk_model()
-        x, t, y = desk_inputs(64)
-        model.forward(x, t, y)
+        cfg = S.SamplerConfig(solver="euler", steps=2)
+        y = np.arange(64) % 3
+        S.sample(model, cfg, y)
         [worker] = model._shard_workers
         os.kill(worker.pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="exited"):
-            model.forward(x, t, y)
+            S.sample(model, cfg, y)
         assert model._shard_workers == []
         with pytest.raises(ChildProcessError):
             os.waitpid(worker.pid, os.WNOHANG)  # reaped
-        sharded = model.forward(x, t, y)
+        sharded = S.sample(model, cfg, y)
         assert model._shard_workers[0].pid != worker.pid
-        assert sharded.data.tobytes() == model._forward(Tensor(x), t, y).data.tobytes()
+        one_core(monkeypatch)
+        assert sharded.tobytes() == S.sample(model, cfg, y).tobytes()
 
     def test_worker_stops_with_its_model(self, shard_sizes):
         model = desk_model()
-        x, t, y = desk_inputs(64)
-        model.forward(x, t, y)
+        S.sample(model, S.SamplerConfig(solver="euler", steps=1), np.arange(64) % 3)
         pid = model._shard_workers[0].pid
         del model
         gc.collect()
@@ -329,24 +383,25 @@ class TestShardedForward:
     def test_blas_threads_pinned_then_restored(self, shard_sizes, monkeypatch):
         get_threads, set_threads = M._openblas_threads()
         seen = []
-        counted = M.DualLevelModel._forward
+        counted = M.DualLevelModel.forward
 
         def spy(self, *args, **kwargs):
             seen.append(get_threads())
             return counted(self, *args, **kwargs)
 
-        monkeypatch.setattr(M.DualLevelModel, "_forward", spy)
+        monkeypatch.setattr(M.DualLevelModel, "forward", spy)
         model = desk_model()
-        x, t, y = desk_inputs(64)
+        cfg = S.SamplerConfig(solver="euler", steps=1)
+        y = np.arange(64) % 3
         threads = get_threads()
         try:
             set_threads(2)
             want = get_threads()
-            model.forward(x, t, y)
+            S.sample(model, cfg, y)
             assert seen == [1] and get_threads() == want
             y[40] = DESK.num_classes + 1
             with pytest.raises(InputError):
-                model.forward(x, t, y)
+                S.sample(model, cfg, y)
             assert get_threads() == want
         finally:
             set_threads(threads)

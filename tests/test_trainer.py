@@ -8,6 +8,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from dualdit import checkpoint as C
 from dualdit import data as D
@@ -436,6 +437,37 @@ class TestCheckpointFormat:
             C.load(path)
         assert exc.value.offset == 16
 
+    def test_dims_whose_product_wraps_in_int64(self, tmp_path):
+        # (65536,)*4 elements multiply to 0 in int64
+        path = tmp_path / "c.ckpt"
+        hdr = b"{}"
+        blob = (C.MAGIC + struct.pack("<II", C.FORMAT_VERSION, len(hdr)) + hdr
+                + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<B4I", 4, *(65536,) * 4))
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match="truncated while reading data of a") as exc:
+            C.load(path)
+        assert exc.value.offset == len(blob)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
+           cut=st.one_of(st.none(), st.integers(0, 10**6)))
+    def test_corrupt_or_truncated_file_loads_or_raises_parse_error(self, tmp_path, flips, cut):
+        path = tmp_path / "c.ckpt"
+        C.save(path, {"kind": "test", "step": 3}, {
+            "rec_a": np.arange(6, dtype=np.float32).reshape(2, 3),
+            "rec_b": np.zeros(2, np.float32), "scalar": np.array(1.5, np.float32)})
+        blob = bytearray(path.read_bytes())
+        for at, mask in flips:
+            blob[at % len(blob)] ^= mask
+        if cut is not None:
+            blob = blob[:cut % len(blob)]
+        path.write_bytes(bytes(blob))
+        try:
+            C.load(path)
+        except ParseError as exc:
+            assert exc.offset is not None and 0 <= exc.offset <= len(blob)
+
     def test_duplicate_record_name(self, tmp_path):
         path, blob = self.saved(tmp_path)
         at = blob.index(b"rec_b")
@@ -595,6 +627,20 @@ class TestShardedTraining:
         assert state.step == 3 and state.skipped_steps == 0
         assert model._shard_workers[0].pid != worker.pid
 
+    def test_a_failed_step_is_redone_with_the_same_draws(self, two_cores):
+        model_full, dataset, cfg = crit9_setup(3)
+        full = TR.train(model_full, dataset, cfg)
+        model, _, cfg = crit9_setup(1)
+        state = TR.train(model, dataset, cfg)
+        os.kill(model._shard_workers[0].pid, signal.SIGKILL)
+        cfg.total_steps = 3
+        with pytest.raises(RuntimeError, match="exited"):
+            TR.train(model, dataset, cfg, state=state)
+        TR.train(model, dataset, cfg, state=state)
+        assert TR.metrics_to_csv(state.metrics) == TR.metrics_to_csv(full.metrics)
+        for k, t in model_full.params.items():
+            assert t.data.tobytes() == model.params[k].data.tobytes(), k
+
     def test_taped_caller_and_alignment_fork_no_worker(self, two_cores, monkeypatch):
         def no_workers(*args):
             raise AssertionError("forked a worker")
@@ -610,13 +656,13 @@ class TestShardedTraining:
     def test_blas_threads_pinned_then_restored(self, two_cores, monkeypatch):
         get_threads, set_threads = M._openblas_threads()
         seen = []
-        counted = M.DualLevelModel._forward
+        counted = M.DualLevelModel.forward
 
         def spy(self, *args, **kwargs):
             seen.append(get_threads())
             return counted(self, *args, **kwargs)
 
-        monkeypatch.setattr(M.DualLevelModel, "_forward", spy)
+        monkeypatch.setattr(M.DualLevelModel, "forward", spy)
         model, dataset, cfg = crit9_setup(1)
         threads = get_threads()
         try:
