@@ -217,6 +217,9 @@ class DualLevelModel:
                                                 head_dim, self.dtype)
 
         self.params = store.params
+        self._arena: Optional[Arena] = None
+        # shard i of run_shards writes its gradients into buffer i
+        self._shard_grads: list[np.ndarray] = []
         # forked copies that run the other shards of run_shards, started by its first call
         self._shard_workers: list[_ShardWorker] = []
 
@@ -353,6 +356,9 @@ class DualLevelModel:
         replied = False
         try:
             while len(workers) < others:
+                # the arena and its shard's gradient buffer: a worker sees only
+                # the mappings made before it is forked
+                self.shard_grads(len(workers) + 2)
                 workers.append(_ShardWorker(self))
             # each shard's GEMMs on several BLAS threads would oversubscribe the cores
             set_threads(1)
@@ -379,6 +385,27 @@ class DualLevelModel:
         return [first] + [value for _, value in replies]
 
     # -- parameter plumbing --------------------------------------------------
+
+    @property
+    def arena(self) -> Arena:
+        """Every parameter in one shared mapping, built by the first use.
+
+        A worker forked afterwards reads the current parameters from it with
+        no copy. ``load_model`` never builds it, so loading stays cheap.
+        """
+        if self._arena is None:
+            self._arena = Arena(self.params, shared=True)
+        return self._arena
+
+    def shard_grads(self, n: int) -> list[np.ndarray]:
+        """The gradient buffers of shards 0 to n-1 of ``run_shards``, laid out like the arena.
+
+        Each is a shared mapping, so shard i writes buffer i whichever
+        process runs it; ``run_shards`` makes a worker's before forking it.
+        """
+        while len(self._shard_grads) < n:
+            self._shard_grads.append(self.arena.like(shared=True))
+        return self._shard_grads[:n]
 
     def num_params(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -457,16 +484,11 @@ class _ShardWorker:
     Threads would run the shards under one GIL and hand it over some hundred
     times per forward, each hand-over a sleep and a wake of a core, whose
     cost moves with the load on the machine; a process meets its parent
-    twice per shard. The parameters travel through a shared mapping that
-    ``submit`` refreshes, so the copy computes with the model's current values.
+    twice per shard. The copy's parameters are views of the model's arena,
+    so it computes with the caller's current values; it may not write them.
     """
 
     def __init__(self, model: DualLevelModel):
-        self._params = list(model.params.values())
-        offsets = np.cumsum([0] + [-(-t.data.nbytes // 64) * 64 for t in self._params])
-        self._mapping = mmap.mmap(-1, max(int(offsets[-1]), 1))
-        self._shared = [np.frombuffer(self._mapping, t.data.dtype, t.size, int(o)).reshape(t.shape)
-                        for t, o in zip(self._params, offsets)]
         self._conn, child = multiprocessing.Pipe()
         self.pid = os.fork()
         if self.pid == 0:
@@ -486,9 +508,7 @@ class _ShardWorker:
         _WORKERS.add(self)
 
     def submit(self, fn, part: tuple):
-        """Ask for ``fn(model, *part)``, with the current parameters."""
-        for param, shared in zip(self._params, self._shared):
-            np.copyto(shared, param.data)
+        """Ask for ``fn(model, *part)``."""
         try:
             self._conn.send((fn, part))
         except OSError:
@@ -507,16 +527,19 @@ class _ShardWorker:
     def close(self):
         self._finalizer()
 
-    def _serve(self, model: DualLevelModel, conn):
+    @staticmethod
+    def _serve(model: DualLevelModel, conn):
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent closes the socket
         _openblas_threads()[1](1)
+        # a shard that wrote a parameter would change it under every process
+        model.arena.flat.flags.writeable = False
+        for t in model.params.values():
+            t.data.flags.writeable = False
         while True:
             try:
                 fn, part = conn.recv()
             except EOFError:
                 return
-            for param, shared in zip(self._params, self._shared):
-                np.copyto(param.data, shared)
             try:
                 reply = (True, fn(model, *part))
             except Exception as exc:
@@ -537,6 +560,51 @@ def _stop_worker(conn, pid: int):
         os.waitpid(pid, 0)
     except (ProcessLookupError, ChildProcessError):
         pass
+
+
+class Arena:
+    """Tensors packed into one flat buffer, each ``data`` a view of its part.
+
+    Any buffer from ``like`` has the same layout, so one numpy call does
+    elementwise work over all the tensors, and ``views`` gives each
+    tensor's part. Each part starts on a 64-byte boundary: packed end to
+    end, a desk forward at B=32 ran 3% slower, its SIMD loads split across
+    cache lines. The gaps hold zeros, which the optimizer keeps zero.
+    """
+
+    def __init__(self, params: dict[str, Tensor], shared: bool = False):
+        self.params = dict(params)
+        self.dtype = next(iter(self.params.values())).dtype
+        line = 64 // self.dtype.itemsize
+        starts = np.cumsum([0] + [-(-t.size // line) * line for t in self.params.values()]).tolist()
+        self.parts = [slice(a, a + t.size) for t, a in zip(self.params.values(), starts)]
+        self._size = starts[-1]
+        self.flat = self.like(shared)
+        for t, view in zip(self.params.values(), self.views(self.flat).values()):
+            view[...] = t.data
+            t.data = view
+
+    def like(self, shared: bool = False, dtype=None) -> np.ndarray:
+        """A zeroed buffer of this layout, of the tensors' dtype unless given.
+
+        It is an anonymous mapping of its own, so it stays out of the malloc
+        heap and its pages cost nothing until written. The processes forked
+        after a ``shared`` one is made read and write it in common.
+        """
+        dtype = np.dtype(dtype or self.dtype)
+        flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE
+        mapping = mmap.mmap(-1, max(self._size * dtype.itemsize, 1), flags=flags)
+        return np.frombuffer(mapping, dtype, self._size)
+
+    def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each tensor's part of ``flat``, by name, in the tensor's shape."""
+        return {name: flat[part].reshape(t.shape)
+                for (name, t), part in zip(self.params.items(), self.parts)}
+
+    def gather_grads(self, out: np.ndarray):
+        """Copy each tensor's gradient into its part of ``out``; zeros where it has none."""
+        for t, part in zip(self.params.values(), self.parts):
+            out[part] = 0 if t.grad is None else t.grad.reshape(-1)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:

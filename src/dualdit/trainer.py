@@ -12,11 +12,17 @@ and runs the shards' losses and backwards data-parallel; the gradients are
 summed in shard order. A run's bits therefore depend on the number of usable
 cores, as they do on the BLAS build; with one shard the step is the serial
 one. A step with the alignment term always runs serially.
+
+Every trained tensor is a view of a flat buffer: the model's arena, which the
+shard workers read, or the alignment projector's own. Gradients arrive in
+buffers of the same layout, and clipping, AdamW and the EMA run as in-place
+elementwise ops over them (``ParamGroup``) with the bits of per-tensor
+loops. ``TrainState.m``, ``.v`` and ``.ema`` are dicts of views of the flat
+buffers, so checkpoints keep their format.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 from dataclasses import dataclass, field
@@ -27,7 +33,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import flow as F
 from .errors import ConfigError, InputError, NumericError
-from .model import DualLevelModel, config_from_dict, config_to_dict, shard_cuts
+from .model import Arena, DualLevelModel, config_from_dict, config_to_dict, shard_cuts
 from .tensor import Tape, Tensor
 
 METRICS_HEADER = "step,loss,loss_diff,loss_repa,grad_norm,lr"
@@ -65,6 +71,20 @@ class TrainConfig:
 
 
 @dataclass
+class ParamGroup:
+    """The optimizer's buffers over the tensors of one arena, each laid out like it.
+
+    ``grad`` receives each step's gradients; ``TrainState.m``, ``.v`` and
+    ``.ema`` hold per-tensor views of ``m``, ``v`` and ``ema``.
+    """
+    arena: Arena
+    grad: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    ema: np.ndarray
+
+
+@dataclass
 class TrainState:
     step: int
     params: dict[str, Tensor]
@@ -72,58 +92,75 @@ class TrainState:
     v: dict[str, np.ndarray]
     ema: dict[str, np.ndarray]
     rng: np.random.Generator
+    groups: list[ParamGroup]
+    scratch: tuple[np.ndarray, np.ndarray]  # float64 and parameter dtype, as long as the largest group
     skipped_steps: int = 0
     consecutive_bad: int = 0
     metrics: list[dict] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
-# optimizer pieces
+# optimizer pieces: in place over flat buffers; each elementwise op rounds as
+# the per-tensor expression in the comment beside it, in its order
 # ---------------------------------------------------------------------------
 
-def adamw_step(params: dict[str, Tensor], grads: dict[str, np.ndarray],
-               m: dict[str, np.ndarray], v: dict[str, np.ndarray], step: int,
-               lr: float, betas=(0.9, 0.999), weight_decay: float = 0.0,
+def adamw_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, tmp: np.ndarray,
+               step: int, lr: float, betas=(0.9, 0.999), weight_decay: float = 0.0,
                eps: float = 1e-8):
-    """Bias-corrected Adam with decoupled weight decay; step counts from 1."""
+    """Bias-corrected Adam with decoupled weight decay; step counts from 1.
+
+    ``g`` is used up: it holds the step taken before the decay afterwards.
+    ``tmp`` is scratch of the same size.
+    """
     b1, b2 = betas
     bc1 = 1.0 - b1**step
     bc2 = 1.0 - b2**step
-    for name, p in params.items():
-        g = grads[name]
-        m[name] = b1 * m[name] + (1.0 - b1) * g
-        v[name] = b2 * v[name] + (1.0 - b2) * g * g
-        update = (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
-        p.data -= (lr * update).astype(p.data.dtype)
-        if weight_decay:
-            p.data -= (lr * weight_decay) * p.data
+    np.multiply(g, 1.0 - b1, out=tmp)          # m = b1 * m + (1 - b1) * g
+    np.multiply(m, b1, out=m)
+    np.add(m, tmp, out=m)
+    np.multiply(g, 1.0 - b2, out=tmp)          # v = b2 * v + (1 - b2) * g * g
+    np.multiply(tmp, g, out=tmp)
+    np.multiply(v, b2, out=v)
+    np.add(v, tmp, out=v)
+    np.divide(v, bc2, out=tmp)                 # p -= lr * ((m / bc1) / (sqrt(v / bc2) + eps))
+    np.sqrt(tmp, out=tmp)
+    np.add(tmp, eps, out=tmp)
+    np.divide(m, bc1, out=g)
+    np.divide(g, tmp, out=g)
+    np.multiply(g, lr, out=g)
+    np.subtract(p, g, out=p)
+    if weight_decay:
+        np.multiply(p, lr * weight_decay, out=tmp)  # p -= (lr * weight_decay) * p
+        np.subtract(p, tmp, out=p)
 
 
-def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
-    total = 0.0
-    for g in grads.values():
-        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    return float(np.sqrt(total))
+def clip_gradients(groups: list[ParamGroup], max_norm: float, sq: np.ndarray) -> float:
+    """Scale every group's gradients by max_norm/norm when their global L2 norm exceeds it.
 
-
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
-    """Scale all gradients by max_norm/norm when the global L2 norm exceeds it.
-
-    Returns the pre-clip norm.
+    The norm adds one float64 sum per tensor, in the groups' order, over the
+    squares in ``sq`` (float64 scratch as long as the largest group); a
+    contiguous part sums as the tensor's own array would. Returns the
+    pre-clip norm.
     """
     if max_norm <= 0:
         raise ConfigError("max_norm must be positive")
-    norm = global_grad_norm(grads)
+    total = 0.0
+    for group in groups:
+        squares = np.square(group.grad, out=sq[:group.grad.size], dtype=np.float64)
+        for part in group.arena.parts:
+            total += float(squares[part].sum())
+    norm = float(np.sqrt(total))
     if norm > max_norm:
         factor = max_norm / norm
-        for name in grads:
-            grads[name] = grads[name] * factor
+        for group in groups:
+            np.multiply(group.grad, factor, out=group.grad)
     return norm
 
 
-def ema_update(ema: dict[str, np.ndarray], params: dict[str, Tensor], decay: float):
-    for name, p in params.items():
-        ema[name] = decay * ema[name] + (1.0 - decay) * p.data
+def ema_update(ema: np.ndarray, p: np.ndarray, decay: float, tmp: np.ndarray):
+    np.multiply(p, 1.0 - decay, out=tmp)  # ema = decay * ema + (1 - decay) * p
+    np.multiply(ema, decay, out=ema)
+    np.add(ema, tmp, out=ema)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +173,20 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight: float,
-                align: Optional[tuple] = None):
-    """One shard of a train step: its losses and the gradients of ``weight`` times its loss.
+                shard: int, align: Optional[tuple] = None):
+    """One shard of a train step: its (loss_diff, loss_repa, loss).
 
-    ``weight`` is the shard's share of the batch, so that the shards'
-    gradients sum to those of the batch mean. ``align`` is (encoder,
-    projector, tap, align_weight) when the step has the alignment term.
-    Returns (loss_diff, loss_repa, loss) and the gradients by parameter name,
-    None for them when the loss is non-finite.
+    The gradients of ``weight`` times its loss go to the model's gradient
+    buffer ``shard`` (see ``DualLevelModel.shard_grads``); the projector's
+    stay on its tensors. ``weight`` is the shard's share of the batch, so
+    that the shards' gradients sum to those of the batch mean. ``align`` is
+    (encoder, projector, tap, align_weight) when the step has the alignment
+    term. A non-finite loss leaves the gradients unwritten.
     """
-    params = dict(model.params)
+    params = list(model.params.values())
     if align is not None:
-        params.update(align[1].params)
-    for t in params.values():
+        params += align[1].params.values()
+    for t in params:
         t.zero_grad()
     with Tape() as tape:
         patch_outs = [] if align is not None else None
@@ -161,24 +199,35 @@ def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight
             loss = loss_diff + Tensor(np.asarray(align_weight, model.dtype)) * loss_align
             loss_repa = float(loss_align.data)
     losses = (float(loss_diff.data), loss_repa, float(loss.data))
-    if not np.isfinite(losses[2]):
-        return losses, None
-    tape.backward(loss, seed=weight)
-    return losses, {name: t.grad for name, t in params.items()}
+    if np.isfinite(losses[2]):
+        tape.backward(loss, seed=weight)
+        model.arena.gather_grads(model.shard_grads(shard + 1)[shard])
+    return losses
+
+
+def _group(arena: Arena, grad: np.ndarray) -> ParamGroup:
+    ema = arena.like()
+    ema[...] = arena.flat
+    return ParamGroup(arena, grad, m=arena.like(), v=arena.like(), ema=ema)
 
 
 def init_state(model: DualLevelModel, cfg: TrainConfig,
                projector: Optional[F.AlignmentProjector] = None) -> TrainState:
-    params = dict(model.params)
+    # the model's gradients arrive in the buffer of shard 0, the caller's
+    groups = [_group(model.arena, model.shard_grads(1)[0])]
     if projector is not None:
-        params.update(projector.params)
+        arena = Arena(projector.params)
+        groups.append(_group(arena, arena.like()))
+    params, m, v, ema = {}, {}, {}, {}
+    for group in groups:
+        params.update(group.arena.params)
+        for records, flat in ((m, group.m), (v, group.v), (ema, group.ema)):
+            records.update(group.arena.views(flat))
+    largest = max((group.arena for group in groups), key=lambda arena: arena.flat.size)
     return TrainState(
-        step=0,
-        params=params,
-        m={k: np.zeros_like(t.data) for k, t in params.items()},
-        v={k: np.zeros_like(t.data) for k, t in params.items()},
-        ema={k: t.data.copy() for k, t in params.items()},
+        step=0, params=params, m=m, v=v, ema=ema,
         rng=np.random.default_rng(np.random.PCG64(cfg.seed)),
+        groups=groups, scratch=(largest.like(dtype=np.float64), largest.like()),
     )
 
 
@@ -223,10 +272,11 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
     if differ:
         raise ConfigError(f"{path} holds another model configuration: " + ", ".join(
             f"{k} saved {saved.get(k)!r}, model {current.get(k)!r}" for k in differ))
+    # in place: the records are views of the optimizer's flat buffers
     for name, t in state.params.items():
         t.data[...] = checked["param", name]
         for kind, records in zip(kinds[1:], (state.m, state.v, state.ema)):
-            records[name] = checked[kind, name].astype(t.data.dtype)
+            records[name][...] = checked[kind, name]
     state.step = int(header["step"])
     state.skipped_steps = int(header["skipped_steps"])
     state.consecutive_bad = int(header["consecutive_bad"])
@@ -336,7 +386,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
             x0 = images[idx]
             y = labels[idx]
 
-            bad = False
+            bad = None
             row = {"step": state.step, "loss": float("nan"), "loss_diff": float("nan"),
                    "loss_repa": 0.0, "grad_norm": 0.0, "lr": lr}
             rng_state = state.rng.bit_generator.state
@@ -345,49 +395,55 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
                 if cfg.class_drop_prob > 0.0:
                     # classifier-free guidance: some labels become the null class
                     y = np.where(state.rng.random(len(y)) < cfg.class_drop_prob, mcfg.null_class, y)
-                # the alignment projector is not in the workers' copies of the model
+                # the workers see neither the projector nor flow's zero-norm count
                 cuts = [(0, len(y))] if use_align else shard_cuts(len(y), H * W)
-                if len(cuts) == 1:
-                    shards = [_loss_shard(model, batch, y, 1.0, align)]
+                parts = [(batch.rows(a, b), y[a:b], (b - a) / len(y), i)
+                         for i, (a, b) in enumerate(cuts)]
+                if len(parts) == 1:
+                    shard_losses = [_loss_shard(model, *parts[0], align)]
                 else:
                     # waits for another thread's shards: a serial step would have other bits
-                    shards = model.run_shards(_loss_shard, [
-                        (batch.rows(a, b), y[a:b], (b - a) / len(y)) for a, b in cuts], wait=True)
+                    shard_losses = model.run_shards(_loss_shard, parts, wait=True)
                 for i, key in enumerate(("loss_diff", "loss_repa", "loss")):
                     row[key] = sum((b - a) / len(y) * losses[i]
-                                   for (a, b), (losses, _) in zip(cuts, shards))
-                if any(shard_grads is None for _, shard_grads in shards):
+                                   for (a, b), losses in zip(cuts, shard_losses))
+                if not all(np.isfinite(losses[2]) for losses in shard_losses):
                     raise NumericError("loss non-finite")
-                grads = {}
-                for name, t in state.params.items():
-                    # summed in shard order, so a run's bits do not depend on timing
-                    parts = [shard_grads[name] for _, shard_grads in shards
-                             if shard_grads.get(name) is not None]
-                    g = functools.reduce(np.add, parts) if parts else np.zeros_like(t.data)
-                    if not np.all(np.isfinite(g)):
+                grads = model.shard_grads(len(parts))
+                for shard_grad in grads[1:]:
+                    # in shard order, so a run's bits do not depend on timing
+                    np.add(grads[0], shard_grad, out=grads[0])
+                for group in state.groups[1:]:  # the projector's, taken in this process
+                    group.arena.gather_grads(group.grad)
+                for group in state.groups:
+                    if not np.isfinite(group.grad).all():
+                        name = next(name for name, g in group.arena.views(group.grad).items()
+                                    if not np.isfinite(g).all())
                         raise NumericError(f"gradient of {name} non-finite")
-                    grads[name] = g
-            except NumericError:
-                bad = True
+            except NumericError as exc:
+                bad = exc
             except BaseException:
                 # the step did not happen, so a retry must redraw the same noise and dropout
                 state.rng.bit_generator.state = rng_state
                 raise
 
-            if bad:
+            if bad is not None:
                 state.skipped_steps += 1
                 state.consecutive_bad += 1
                 if state.consecutive_bad >= 10:
                     raise NumericError(
-                        f"loss non-finite for {state.consecutive_bad} consecutive steps "
-                        f"(step {state.step}, lr {lr}, skipped {state.skipped_steps} total)"
-                    )
+                        f"{state.consecutive_bad} consecutive steps skipped (step {state.step}, "
+                        f"lr {lr}, skipped {state.skipped_steps} total), the last for: {bad}"
+                    ) from bad
             else:
                 state.consecutive_bad = 0
-                row["grad_norm"] = clip_gradients(grads, max_norm)
-                adamw_step(state.params, grads, state.m, state.v, state.step + 1,
-                           lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
-                ema_update(state.ema, state.params, cfg.ema_decay)
+                sq, tmp = state.scratch
+                row["grad_norm"] = clip_gradients(state.groups, max_norm, sq)
+                for group in state.groups:
+                    p, scratch = group.arena.flat, tmp[:group.grad.size]
+                    adamw_step(p, group.grad, group.m, group.v, scratch, state.step + 1,
+                               lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
+                    ema_update(group.ema, p, cfg.ema_decay, scratch)
 
             state.metrics.append(row)
             if metrics_file is not None:

@@ -381,13 +381,12 @@ class TestCriterion10DistributionalComponents:
         self._p = res.pvalue
 
     def test_ema_geometric_convergence(self):
-        params = {"p": Tensor(np.array([1.0]))}
-        ema = {"p": np.array([0.0])}
+        p, ema, tmp = np.array([1.0]), np.array([0.0]), np.empty(1)
         decay = 0.9999
         gaps = []
         for _ in range(2000):
-            TR.ema_update(ema, params, decay)
-            gaps.append(1.0 - ema["p"][0])
+            TR.ema_update(ema, p, decay, tmp)
+            gaps.append(1.0 - ema[0])
         gaps = np.array(gaps)
         ratios = gaps[1:] / gaps[:-1]
         np.testing.assert_allclose(ratios, decay, rtol=1e-9)

@@ -1,6 +1,7 @@
 """Optimizer oracles, EMA, clipping, loop determinism, checkpoint resume."""
 
 import dataclasses
+import functools
 import os
 import signal
 import struct
@@ -48,54 +49,63 @@ def assert_unchanged(state, before: dict):
 
 
 class TestAdamW:
-    def params_of(self, value):
-        return {"p": Tensor(np.array([value], dtype=np.float64), requires_grad=True)}
+    def step(self, p, g, m, v, step=1, **kw):
+        """One AdamW step on one float64 parameter; its value and moments afterwards."""
+        p, g, m, v = (np.array([x], dtype=np.float64) for x in (p, g, m, v))
+        TR.adamw_step(p, g, m, v, np.empty(1), step, **kw)
+        return p, m, v
 
     def test_zero_grads_zero_decay_params_unchanged(self):
-        params = self.params_of(1.5)
-        m = {"p": np.zeros(1)}
-        v = {"p": np.zeros(1)}
-        TR.adamw_step(params, {"p": np.zeros(1)}, m, v, 1, lr=0.1)
-        np.testing.assert_array_equal(params["p"].data, [1.5])
+        p, _, _ = self.step(1.5, 0.0, 0.0, 0.0, lr=0.1)
+        np.testing.assert_array_equal(p, [1.5])
 
     def test_scalar_first_step_closed_form(self):
         # bias-corrected first step with g=1: update = g / (|g| + eps)
-        params = self.params_of(2.0)
-        m = {"p": np.zeros(1)}
-        v = {"p": np.zeros(1)}
         eps = 1e-8
-        TR.adamw_step(params, {"p": np.ones(1)}, m, v, 1, lr=0.1, eps=eps)
+        p, _, _ = self.step(2.0, 1.0, 0.0, 0.0, lr=0.1, eps=eps)
         expected = 2.0 - 0.1 * (1.0 / (1.0 + eps))
-        np.testing.assert_allclose(params["p"].data, [expected], rtol=1e-12)
+        np.testing.assert_allclose(p, [expected], rtol=1e-12)
 
     def test_decay_only_multiplicative_shrink(self):
-        params = self.params_of(3.0)
-        m = {"p": np.zeros(1)}
-        v = {"p": np.zeros(1)}
-        TR.adamw_step(params, {"p": np.zeros(1)}, m, v, 1, lr=0.1, weight_decay=0.5)
-        np.testing.assert_allclose(params["p"].data, [3.0 * (1 - 0.1 * 0.5)], rtol=1e-12)
+        p, _, _ = self.step(3.0, 0.0, 0.0, 0.0, lr=0.1, weight_decay=0.5)
+        np.testing.assert_allclose(p, [3.0 * (1 - 0.1 * 0.5)], rtol=1e-12)
 
     def test_moments_decay_with_zero_grads(self):
-        params = self.params_of(1.0)
-        m = {"p": np.ones(1)}
-        v = {"p": np.ones(1)}
-        TR.adamw_step(params, {"p": np.zeros(1)}, m, v, 5, lr=0.0)
-        np.testing.assert_allclose(m["p"], [0.9])
-        np.testing.assert_allclose(v["p"], [0.999])
+        _, m, v = self.step(1.0, 0.0, 1.0, 1.0, step=5, lr=0.0)
+        np.testing.assert_allclose(m, [0.9])
+        np.testing.assert_allclose(v, [0.999])
+
+
+def grad_groups(*groups: dict) -> list:
+    """Parameter groups whose gradient buffers hold the given gradients by name."""
+    out = []
+    for grads in groups:
+        arena = M.Arena({k: Tensor(np.zeros_like(g)) for k, g in grads.items()})
+        group = TR._group(arena, arena.like())
+        for view, g in zip(arena.views(group.grad).values(), grads.values()):
+            view[...] = g
+        out.append(group)
+    return out
+
+
+def clip(groups: list, max_norm: float) -> float:
+    return TR.clip_gradients(groups, max_norm, np.empty(max(g.grad.size for g in groups)))
+
+
+def grads_of(groups: list) -> dict:
+    return {k: g.copy() for group in groups for k, g in group.arena.views(group.grad).items()}
 
 
 class TestClipping:
     def test_identity_below_max(self):
-        grads = {"a": np.array([0.3, 0.4])}
-        norm = TR.clip_gradients(grads, 1.0)
-        assert norm == pytest.approx(0.5)
-        np.testing.assert_array_equal(grads["a"], [0.3, 0.4])
+        groups = grad_groups({"a": np.array([0.3, 0.4])})
+        assert clip(groups, 1.0) == pytest.approx(0.5)
+        np.testing.assert_array_equal(grads_of(groups)["a"], [0.3, 0.4])
 
     def test_scales_to_max_norm(self):
-        grads = {"a": np.array([6.0]), "b": np.array([8.0])}
-        norm = TR.clip_gradients(grads, 1.0)
-        assert norm == pytest.approx(10.0)
-        assert TR.global_grad_norm(grads) == pytest.approx(1.0, abs=1e-9)
+        groups = grad_groups({"a": np.array([6.0]), "b": np.array([8.0])})
+        assert clip(groups, 1.0) == pytest.approx(10.0)
+        assert np.linalg.norm(list(grads_of(groups).values())) == pytest.approx(1.0, abs=1e-9)
 
     def test_equals_flattened_concatenation_oracle(self):
         rng = np.random.default_rng(0)
@@ -103,31 +113,84 @@ class TestClipping:
         flat = np.concatenate([grads["a"].ravel(), grads["b"].ravel()])
         max_norm = 0.5
         expected = flat * (max_norm / np.linalg.norm(flat))
-        TR.clip_gradients(grads, max_norm)
+        groups = grad_groups({"a": grads["a"]}, {"b": grads["b"]})
+        clip(groups, max_norm)
         np.testing.assert_allclose(
-            np.concatenate([grads["a"].ravel(), grads["b"].ravel()]), expected, rtol=1e-12)
+            np.concatenate([g.ravel() for g in grads_of(groups).values()]), expected, rtol=1e-12)
 
 
 class TestEma:
     def test_fixed_point(self):
-        params = {"p": Tensor(np.array([2.0]))}
-        ema = {"p": np.array([2.0])}
-        TR.ema_update(ema, params, 0.999)
-        np.testing.assert_array_equal(ema["p"], [2.0])
+        ema = np.array([2.0])
+        TR.ema_update(ema, np.array([2.0]), 0.999, np.empty(1))
+        np.testing.assert_array_equal(ema, [2.0])
 
     def test_geometric_convergence(self):
-        params = {"p": Tensor(np.array([1.0]))}
-        ema = {"p": np.array([0.0])}
+        ema = np.array([0.0])
         decay = 0.9999
         for _ in range(10):
-            TR.ema_update(ema, params, decay)
-        np.testing.assert_allclose(1.0 - ema["p"][0], decay**10, rtol=1e-9)
+            TR.ema_update(ema, np.array([1.0]), decay, np.empty(1))
+        np.testing.assert_allclose(1.0 - ema[0], decay**10, rtol=1e-9)
 
     def test_decay_zero_copies_params(self):
-        params = {"p": Tensor(np.array([5.0]))}
-        ema = {"p": np.array([0.0])}
-        TR.ema_update(ema, params, 0.0)
-        np.testing.assert_array_equal(ema["p"], [5.0])
+        ema = np.array([0.0])
+        TR.ema_update(ema, np.array([5.0]), 0.0, np.empty(1))
+        np.testing.assert_array_equal(ema, [5.0])
+
+
+def loop_tail(params, grads, m, v, ema, step, lr, betas, weight_decay, eps, decay, max_norm):
+    """Clip, AdamW and EMA as loops over per-tensor dicts: the reference the flat tail must match."""
+    total = 0.0
+    for g in grads.values():
+        total += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if norm > max_norm:
+        grads = {k: g * (max_norm / norm) for k, g in grads.items()}
+    b1, b2 = betas
+    bc1, bc2 = 1.0 - b1**step, 1.0 - b2**step
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * g * g
+        p -= lr * ((m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps))
+        if weight_decay:
+            p -= (lr * weight_decay) * p
+    for k, p in params.items():
+        ema[k] = decay * ema[k] + (1.0 - decay) * p
+    return norm
+
+
+class TestFlatTail:
+    def test_matches_the_per_tensor_loop_bitwise(self):
+        # float32 as trained, a clipped norm, decay on, a zero of each sign, two groups
+        rng = np.random.default_rng(4)
+        shapes = [{"w": (5, 3), "b": (3,)}, {"repa.w": (7, 2), "repa.b": (1,)}]
+        draw = lambda shape: rng.normal(size=shape).astype(np.float32)  # noqa: E731
+        groups = grad_groups(*({k: draw(s) for k, s in sh.items()} for sh in shapes))
+        groups[0].arena.views(groups[0].grad)["w"][0, :2] = [0.0, -0.0]
+        ref = {kind: {} for kind in ("p", "g", "m", "v", "ema")}
+        for group in groups:
+            for flat in (group.arena.flat, group.m, group.v, group.ema):
+                flat[...] = rng.normal(size=flat.size).astype(np.float32)
+            group.v[...] = np.abs(group.v)
+            for kind, flat in (("p", group.arena.flat), ("g", group.grad), ("m", group.m),
+                               ("v", group.v), ("ema", group.ema)):
+                ref[kind].update({k: a.copy() for k, a in group.arena.views(flat).items()})
+        kw = dict(step=3, lr=1e-2, betas=(0.9, 0.999), weight_decay=0.05, eps=1e-8)
+        want = loop_tail(ref["p"], ref["g"], ref["m"], ref["v"], ref["ema"],
+                         decay=0.99, max_norm=0.5, **kw)
+        size = max(group.grad.size for group in groups)
+        sq, tmp = np.empty(size, np.float64), np.empty(size, np.float32)
+        assert TR.clip_gradients(groups, 0.5, sq) == want
+        for group in groups:
+            scratch = tmp[:group.grad.size]
+            TR.adamw_step(group.arena.flat, group.grad, group.m, group.v, scratch, **kw)
+            TR.ema_update(group.ema, group.arena.flat, 0.99, scratch)
+        for group in groups:
+            for kind, flat in (("p", group.arena.flat), ("m", group.m), ("v", group.v),
+                               ("ema", group.ema)):
+                for k, a in group.arena.views(flat).items():
+                    assert a.tobytes() == ref[kind][k].tobytes(), (kind, k)
 
 
 class TestTrainLoop:
@@ -498,9 +561,16 @@ CLIP = TR.clip_gradients
 def spy_gradients(monkeypatch) -> dict:
     """A dict that each train step fills with copies of its summed, pre-clip gradients."""
     seen = {}
-    monkeypatch.setattr(TR, "clip_gradients", lambda grads, norm: seen.update(
-        {k: g.copy() for k, g in grads.items()}) or CLIP(grads, norm))
+    monkeypatch.setattr(TR, "clip_gradients", lambda groups, norm, sq: seen.update(
+        grads_of(groups)) or CLIP(groups, norm, sq))
     return seen
+
+
+def write_a_parameter(model, write: bool):
+    """A shard that writes a parameter when ``write`` is set."""
+    if write:
+        model.params["pixel_head.b"].data[...] = 1.0
+    return write
 
 
 def desk_step_grads(monkeypatch):
@@ -546,6 +616,13 @@ class TestShardedTraining:
         assert TR.metrics_to_csv(full.metrics[5:]) == TR.metrics_to_csv(resumed.metrics)
         for k, t in model_full.params.items():
             assert t.data.tobytes() == model_res.params[k].data.tobytes(), k
+        # the restore wrote into the flat buffers the optimizer steps
+        [group] = resumed.groups
+        for k, t in model_res.params.items():
+            assert np.shares_memory(t.data, model_res.arena.flat), k
+            for records, flat in ((resumed.m, group.m), (resumed.v, group.v),
+                                  (resumed.ema, group.ema)):
+                assert np.shares_memory(records[k], flat), k
 
     def test_one_shard_is_the_serial_step(self, shard_sizes, monkeypatch):
         # a batch whose shards would keep too few pixel tokens runs in one, with weight 1
@@ -575,8 +652,10 @@ class TestShardedTraining:
         idx = TR._epoch_permutation(cfg.seed, 0, len(dataset.labels))[:cfg.batch_size]
         rng = np.random.default_rng(np.random.PCG64(cfg.seed))
         batch = F.make_flow_batch(dataset.images[idx], rng, F.logit_normal_sampler())
-        shards = [TR._loss_shard(model, batch.rows(a, b), dataset.labels[idx][a:b], (b - a) / 8)[1]
-                  for a, b in ((0, 2), (2, 5), (5, 8))]
+        shards = []
+        for a, b in ((0, 2), (2, 5), (5, 8)):
+            TR._loss_shard(model, batch.rows(a, b), dataset.labels[idx][a:b], (b - a) / 8, 0)
+            shards.append({k: g.copy() for k, g in model.arena.views(model.shard_grads(1)[0]).items()})
         for name, g in seen.items():
             want = (shards[0][name] + shards[1][name]) + shards[2][name]
             assert g.tobytes() == want.tobytes(), name
@@ -611,6 +690,53 @@ class TestShardedTraining:
             assert np.isnan(m["loss"]) and m["grad_norm"] == 0.0
         for k, t in model.params.items():
             assert t.data.tobytes() == before[k].tobytes(), k
+
+    def test_non_finite_gradient_in_a_worker_skips_the_step(self, two_cores, monkeypatch):
+        caller = os.getpid()
+        real = TR._loss_shard
+
+        @functools.wraps(real)  # reaches the worker by the real one's name
+        def shard(model, batch, y, weight, shard, align=None):
+            losses = real(model, batch, y, weight, shard, align)
+            if os.getpid() != caller:
+                grads = model.arena.views(model.shard_grads(shard + 1)[shard])
+                grads["pixel_head.b"][0] = np.nan
+                grads["t_embed.fc2.b"][1] = np.inf
+            return losses
+
+        monkeypatch.setattr(TR, "_loss_shard", shard)
+        model, dataset, cfg = crit9_setup(30)
+        before = model.arena.flat.copy()
+        with pytest.raises(NumericError, match="10 consecutive") as exc:
+            TR.train(model, dataset, cfg)
+        assert str(exc.value.__cause__) == "gradient of t_embed.fc2.b non-finite"
+        assert two_cores == [4, 4] * 10
+        assert model.arena.flat.tobytes() == before.tobytes()
+
+    def test_sharded_run_matches_the_shards_run_here(self, two_cores, monkeypatch):
+        # clipping and weight decay active, so every optimizer buffer takes part
+        def run():
+            model, dataset, cfg = crit9_setup(4, clip_norm=0.01, weight_decay=0.1)
+            state = TR.train(model, dataset, cfg)
+            assert all(m["grad_norm"] > cfg.clip_norm for m in state.metrics)
+            return (TR.metrics_to_csv(state.metrics),
+                    {key: a.tobytes() for key, a in state_arrays(state).items()})
+
+        sharded = run()
+        assert two_cores == [4, 4] * 4
+        monkeypatch.setattr(M.DualLevelModel, "run_shards",
+                            lambda self, fn, parts, wait: [fn(self, *part) for part in parts])
+        assert run() == sharded
+
+    def test_a_worker_cannot_write_the_arena(self):
+        if M._openblas_threads() is None:
+            pytest.skip("sharding needs OpenBLAS's thread-count setter")
+        model, _, _ = crit9_setup(1)
+        before = model.arena.flat.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            model.run_shards(write_a_parameter, [(False,), (True,)], wait=True)
+        assert model.arena.flat.tobytes() == before
+        assert model.run_shards(write_a_parameter, [(False,), (False,)], wait=True) == [False] * 2
 
     def test_a_dead_worker_fails_one_step_and_is_replaced(self, two_cores):
         model, dataset, cfg = crit9_setup(1)
