@@ -111,9 +111,13 @@ def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
         if name in arrays:
             raise ParseError(f"record {name!r} appears twice", offset=name_at)
         (ndim,) = struct.unpack("<B", take(1, "ndim"))
+        dims_at = off
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
         n = math.prod(dims)  # Python ints, so a huge record fails the size check instead of wrapping
         data = np.frombuffer(take(4 * n, f"data of {name}"), dtype="<f4")
+        # a zero dim leaves no data to read, yet numpy refuses a shape whose other dims overflow
+        if n == 0 and 4 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
+            raise ParseError(f"record {name!r} has dims {dims}, too large for any array", offset=dims_at)
         arrays[name] = data.reshape(dims).copy()
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after last record", offset=off)

@@ -84,24 +84,13 @@ def loss_diffusion(model, batch: FlowBatch, y: np.ndarray,
 # representation alignment
 # ---------------------------------------------------------------------------
 
-class ZeroNormCounter:
-    """Counts tokens whose feature vector had zero norm in the cosine loss."""
-
-    def __init__(self):
-        self.count = 0
-
-    def reset(self):
-        self.count = 0
-
-
-zero_norm_warnings = ZeroNormCounter()
-
-
-def loss_alignment(tokens: Tensor, features: np.ndarray, projector: "AlignmentProjector") -> Tensor:
+def loss_alignment(tokens: Tensor, features: np.ndarray,
+                   projector: "AlignmentProjector") -> tuple[Tensor, int]:
     """mean over (B, L) of 1 - cosine(projector(tokens), features), in [0, 2].
 
-    Zero-norm pairs are treated as similarity 0 (loss contribution 1) and
-    counted on ``zero_norm_warnings``.
+    Zero-norm pairs are treated as similarity 0 (loss contribution 1); their
+    count is returned beside the loss, and the train step logs it in its row
+    of ``TrainState.metrics``.
     """
     proj = projector.apply(tokens)
     feat = Tensor(np.asarray(features, dtype=proj.data.dtype))
@@ -109,10 +98,9 @@ def loss_alignment(tokens: Tensor, features: np.ndarray, projector: "AlignmentPr
     pnorm = T.tsqrt((proj * proj).sum(axis=-1, keepdims=True) + Tensor(np.full((1,), tiny, proj.data.dtype)))
     fnorm = np.sqrt((feat.data * feat.data).sum(axis=-1, keepdims=True) + tiny)
     mask = ((pnorm.data > 1e-8) & (fnorm > 1e-8)).astype(proj.data.dtype)
-    zero_norm_warnings.count += int(mask.size - mask.sum())
     sim = (proj * feat).sum(axis=-1, keepdims=True) / (pnorm * Tensor(fnorm))
     sim = sim * Tensor(mask)
-    return (Tensor(np.ones_like(sim.data)) - sim).mean()
+    return (Tensor(np.ones_like(sim.data)) - sim).mean(), int(mask.size - mask.sum())
 
 
 class AlignmentProjector:

@@ -375,9 +375,7 @@ class DualLevelModel:
             if not replied:
                 # a worker died or the wait was interrupted: a later reply could
                 # answer the wrong request, so the next call forks fresh ones
-                for worker in workers:
-                    worker.close()
-                workers.clear()
+                self._stop_workers()
             _SHARD_LOCK.release()
         for ok, value in replies:
             if not ok:
@@ -388,14 +386,33 @@ class DualLevelModel:
 
     @property
     def arena(self) -> Arena:
-        """Every parameter in one shared mapping, built by the first use.
+        """Every parameter, and what ``share`` added, in one shared mapping built by the first use.
 
-        A worker forked afterwards reads the current parameters from it with
-        no copy. ``load_model`` never builds it, so loading stays cheap.
+        A worker forked afterwards reads the current values from it with no
+        copy. ``load_model`` never builds it, so loading stays cheap.
         """
         if self._arena is None:
-            self._arena = Arena(self.params, shared=True)
+            self.share({})
         return self._arena
+
+    def share(self, tensors: dict[str, Tensor]):
+        """Make the arena hold the parameters and ``tensors`` (say, the alignment projector's).
+
+        An arena that holds other tensors is rebuilt, and the workers forked
+        over it are stopped, so the next sharded call forks fresh ones.
+        """
+        want = {**self.params, **tensors}
+        have = self._arena.params if self._arena is not None else {}
+        if have.keys() == want.keys() and all(have[k] is t for k, t in want.items()):
+            return
+        self._arena = Arena(want, shared=True)
+        self._shard_grads.clear()
+        self._stop_workers()
+
+    def _stop_workers(self):
+        for worker in self._shard_workers:
+            worker.close()
+        self._shard_workers.clear()
 
     def shard_grads(self, n: int) -> list[np.ndarray]:
         """The gradient buffers of shards 0 to n-1 of ``run_shards``, laid out like the arena.
@@ -533,7 +550,7 @@ class _ShardWorker:
         _openblas_threads()[1](1)
         # a shard that wrote a parameter would change it under every process
         model.arena.flat.flags.writeable = False
-        for t in model.params.values():
+        for t in model.arena.params.values():
             t.data.flags.writeable = False
         while True:
             try:
@@ -601,10 +618,11 @@ class Arena:
         return {name: flat[part].reshape(t.shape)
                 for (name, t), part in zip(self.params.items(), self.parts)}
 
-    def gather_grads(self, out: np.ndarray):
-        """Copy each tensor's gradient into its part of ``out``; zeros where it has none."""
-        for t, part in zip(self.params.values(), self.parts):
-            out[part] = 0 if t.grad is None else t.grad.reshape(-1)
+    def gather_grads(self, out: np.ndarray, tensors: dict[str, Tensor]):
+        """Copy the gradient of ``tensors[name]`` into the part of each name; zeros where it has none."""
+        for name, part in zip(self.params, self.parts):
+            grad = tensors[name].grad
+            out[part] = 0 if grad is None else grad.reshape(-1)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:

@@ -7,18 +7,18 @@ re-derived from (seed, epoch) so a mid-epoch resume sees the same batches.
 Each step draws its noise and timesteps, then its label dropout; a step that
 raises puts the generator back, so calling ``train`` again redoes it exactly.
 
-A step without the alignment term splits its batch by ``model.shard_cuts``
-and runs the shards' losses and backwards data-parallel; the gradients are
-summed in shard order. A run's bits therefore depend on the number of usable
-cores, as they do on the BLAS build; with one shard the step is the serial
-one. A step with the alignment term always runs serially.
+Each step splits its batch by ``model.shard_cuts`` and runs the shards'
+losses and backwards data-parallel; the gradients are summed in shard order.
+A run's bits therefore depend on the number of usable cores, as they do on
+the BLAS build; with one shard the step is the serial one.
 
-Every trained tensor is a view of a flat buffer: the model's arena, which the
-shard workers read, or the alignment projector's own. Gradients arrive in
-buffers of the same layout, and clipping, AdamW and the EMA run as in-place
-elementwise ops over them (``ParamGroup``) with the bits of per-tensor
-loops. ``TrainState.m``, ``.v`` and ``.ema`` are dicts of views of the flat
-buffers, so checkpoints keep their format.
+Every trained tensor, the alignment projector's too, is a view of the
+model's arena, which the shard workers read (``DualLevelModel.share``).
+Gradients arrive in buffers of the same layout, and clipping, AdamW and the
+EMA run once per step as in-place elementwise ops over them
+(``FlatBuffers``) with the bits of per-tensor loops. ``TrainState.m``,
+``.v`` and ``.ema`` are dicts of views of the flat buffers, so checkpoints
+keep their format.
 """
 
 from __future__ import annotations
@@ -71,17 +71,20 @@ class TrainConfig:
 
 
 @dataclass
-class ParamGroup:
-    """The optimizer's buffers over the tensors of one arena, each laid out like it.
+class FlatBuffers:
+    """The optimizer's buffers, each laid out like ``arena``.
 
     ``grad`` receives each step's gradients; ``TrainState.m``, ``.v`` and
-    ``.ema`` hold per-tensor views of ``m``, ``v`` and ``ema``.
+    ``.ema`` hold per-tensor views of ``m``, ``v`` and ``ema``. ``sq``
+    (float64) and ``tmp`` are scratch.
     """
     arena: Arena
     grad: np.ndarray
     m: np.ndarray
     v: np.ndarray
     ema: np.ndarray
+    sq: np.ndarray
+    tmp: np.ndarray
 
 
 @dataclass
@@ -92,8 +95,7 @@ class TrainState:
     v: dict[str, np.ndarray]
     ema: dict[str, np.ndarray]
     rng: np.random.Generator
-    groups: list[ParamGroup]
-    scratch: tuple[np.ndarray, np.ndarray]  # float64 and parameter dtype, as long as the largest group
+    flat: FlatBuffers
     skipped_steps: int = 0
     consecutive_bad: int = 0
     metrics: list[dict] = field(default_factory=list)
@@ -134,26 +136,22 @@ def adamw_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, tmp: 
         np.subtract(p, tmp, out=p)
 
 
-def clip_gradients(groups: list[ParamGroup], max_norm: float, sq: np.ndarray) -> float:
-    """Scale every group's gradients by max_norm/norm when their global L2 norm exceeds it.
+def clip_gradients(flat: FlatBuffers, max_norm: float) -> float:
+    """Scale the gradients by max_norm/norm when their global L2 norm exceeds it.
 
-    The norm adds one float64 sum per tensor, in the groups' order, over the
-    squares in ``sq`` (float64 scratch as long as the largest group); a
-    contiguous part sums as the tensor's own array would. Returns the
-    pre-clip norm.
+    The norm adds one float64 sum per tensor, in the arena's order, over the
+    squares in ``flat.sq``; a contiguous part sums as the tensor's own array
+    would. Returns the pre-clip norm.
     """
     if max_norm <= 0:
         raise ConfigError("max_norm must be positive")
+    squares = np.square(flat.grad, out=flat.sq, dtype=np.float64)
     total = 0.0
-    for group in groups:
-        squares = np.square(group.grad, out=sq[:group.grad.size], dtype=np.float64)
-        for part in group.arena.parts:
-            total += float(squares[part].sum())
+    for part in flat.arena.parts:
+        total += float(squares[part].sum())
     norm = float(np.sqrt(total))
     if norm > max_norm:
-        factor = max_norm / norm
-        for group in groups:
-            np.multiply(group.grad, factor, out=group.grad)
+        np.multiply(flat.grad, max_norm / norm, out=flat.grad)
     return norm
 
 
@@ -174,60 +172,52 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
 
 def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight: float,
                 shard: int, align: Optional[tuple] = None):
-    """One shard of a train step: its (loss_diff, loss_repa, loss).
+    """One shard of a train step: its (loss_diff, loss_repa, loss, zero_norm_pairs).
 
     The gradients of ``weight`` times its loss go to the model's gradient
-    buffer ``shard`` (see ``DualLevelModel.shard_grads``); the projector's
-    stay on its tensors. ``weight`` is the shard's share of the batch, so
-    that the shards' gradients sum to those of the batch mean. ``align`` is
-    (encoder, projector, tap, align_weight) when the step has the alignment
-    term. A non-finite loss leaves the gradients unwritten.
+    buffer ``shard`` (see ``DualLevelModel.shard_grads``), by name. ``weight``
+    is the shard's share of the batch, so that the shards' gradients sum to
+    those of the batch mean. ``align`` is (encoder, projector, tap,
+    align_weight) when the step has the alignment term; a worker computes
+    with the copy of the projector that came with the request. A non-finite
+    loss leaves the gradients unwritten.
     """
-    params = list(model.params.values())
+    tensors = dict(model.arena.params)
     if align is not None:
-        params += align[1].params.values()
-    for t in params:
+        tensors.update(align[1].params)
+    for t in tensors.values():
         t.zero_grad()
     with Tape() as tape:
         patch_outs = [] if align is not None else None
         loss_diff = F.loss_diffusion(model, batch, y, patch_outs=patch_outs)
-        loss, loss_repa = loss_diff, 0.0
+        loss, loss_repa, zero_pairs = loss_diff, 0.0, 0
         if align is not None:
             encoder, projector, tap, align_weight = align
             feats = encoder.evaluate(batch.x0).astype(model.dtype)
-            loss_align = F.loss_alignment(patch_outs[tap - 1], feats, projector)
+            loss_align, zero_pairs = F.loss_alignment(patch_outs[tap - 1], feats, projector)
             loss = loss_diff + Tensor(np.asarray(align_weight, model.dtype)) * loss_align
             loss_repa = float(loss_align.data)
-    losses = (float(loss_diff.data), loss_repa, float(loss.data))
+    losses = (float(loss_diff.data), loss_repa, float(loss.data), zero_pairs)
     if np.isfinite(losses[2]):
         tape.backward(loss, seed=weight)
-        model.arena.gather_grads(model.shard_grads(shard + 1)[shard])
+        model.arena.gather_grads(model.shard_grads(shard + 1)[shard], tensors)
+    for t in tensors.values():
+        t.zero_grad()  # so that no later request pickles the projector's gradients
     return losses
-
-
-def _group(arena: Arena, grad: np.ndarray) -> ParamGroup:
-    ema = arena.like()
-    ema[...] = arena.flat
-    return ParamGroup(arena, grad, m=arena.like(), v=arena.like(), ema=ema)
 
 
 def init_state(model: DualLevelModel, cfg: TrainConfig,
                projector: Optional[F.AlignmentProjector] = None) -> TrainState:
-    # the model's gradients arrive in the buffer of shard 0, the caller's
-    groups = [_group(model.arena, model.shard_grads(1)[0])]
-    if projector is not None:
-        arena = Arena(projector.params)
-        groups.append(_group(arena, arena.like()))
-    params, m, v, ema = {}, {}, {}, {}
-    for group in groups:
-        params.update(group.arena.params)
-        for records, flat in ((m, group.m), (v, group.v), (ema, group.ema)):
-            records.update(group.arena.views(flat))
-    largest = max((group.arena for group in groups), key=lambda arena: arena.flat.size)
+    model.share({} if projector is None else projector.params)
+    arena = model.arena
+    # the gradients arrive in the buffer of shard 0, the caller's
+    flat = FlatBuffers(arena, model.shard_grads(1)[0], m=arena.like(), v=arena.like(),
+                       ema=arena.like(), sq=arena.like(dtype=np.float64), tmp=arena.like())
+    flat.ema[...] = arena.flat
     return TrainState(
-        step=0, params=params, m=m, v=v, ema=ema,
-        rng=np.random.default_rng(np.random.PCG64(cfg.seed)),
-        groups=groups, scratch=(largest.like(dtype=np.float64), largest.like()),
+        step=0, params=dict(arena.params),
+        m=arena.views(flat.m), v=arena.views(flat.v), ema=arena.views(flat.ema),
+        rng=np.random.default_rng(np.random.PCG64(cfg.seed)), flat=flat,
     )
 
 
@@ -272,17 +262,22 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
     if differ:
         raise ConfigError(f"{path} holds another model configuration: " + ", ".join(
             f"{k} saved {saved.get(k)!r}, model {current.get(k)!r}" for k in differ))
+    counters = {key: header.get(key) for key in ("step", "skipped_steps", "consecutive_bad")}
+    for key, value in counters.items():
+        if type(value) is not int or value < 0:
+            raise ConfigError(f"{path} holds no count in its header field {key!r}: {value!r}")
+    rng = np.random.default_rng(np.random.PCG64())
+    try:
+        rng.bit_generator.state = header.get("rng_state")
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ConfigError(f"{path} holds a malformed header field 'rng_state': {exc!r}") from None
     # in place: the records are views of the optimizer's flat buffers
     for name, t in state.params.items():
         t.data[...] = checked["param", name]
         for kind, records in zip(kinds[1:], (state.m, state.v, state.ema)):
             records[name][...] = checked[kind, name]
-    state.step = int(header["step"])
-    state.skipped_steps = int(header["skipped_steps"])
-    state.consecutive_bad = int(header["consecutive_bad"])
-    rng_state = header["rng_state"]
-    state.rng = np.random.default_rng(np.random.PCG64())
-    state.rng.bit_generator.state = rng_state
+    state.step, state.skipped_steps, state.consecutive_bad = counters.values()
+    state.rng = rng
     return state
 
 
@@ -336,6 +331,11 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
                                              seed=cfg.seed, dtype=model.dtype)
     if state is None:
         state = init_state(model, cfg, projector)
+    if state.flat.arena is not model.arena:
+        raise ConfigError(
+            "the train state's flat buffers no longer back the model's tensors: a later "
+            "init_state rebuilt the model's arena; build the state again"
+        )
     if use_align:
         missing = [name for name, t in projector.params.items() if state.params.get(name) is not t]
         if missing:
@@ -387,39 +387,37 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
             y = labels[idx]
 
             bad = None
+            # zero_norm_pairs: alignment pairs taken as similarity 0; not in the CSV
             row = {"step": state.step, "loss": float("nan"), "loss_diff": float("nan"),
-                   "loss_repa": 0.0, "grad_norm": 0.0, "lr": lr}
+                   "loss_repa": 0.0, "grad_norm": 0.0, "lr": lr, "zero_norm_pairs": 0}
             rng_state = state.rng.bit_generator.state
             try:
                 batch = F.make_flow_batch(x0, state.rng, t_sampler)
                 if cfg.class_drop_prob > 0.0:
                     # classifier-free guidance: some labels become the null class
                     y = np.where(state.rng.random(len(y)) < cfg.class_drop_prob, mcfg.null_class, y)
-                # the workers see neither the projector nor flow's zero-norm count
-                cuts = [(0, len(y))] if use_align else shard_cuts(len(y), H * W)
-                parts = [(batch.rows(a, b), y[a:b], (b - a) / len(y), i)
+                cuts = shard_cuts(len(y), H * W)
+                parts = [(batch.rows(a, b), y[a:b], (b - a) / len(y), i, align)
                          for i, (a, b) in enumerate(cuts)]
                 if len(parts) == 1:
-                    shard_losses = [_loss_shard(model, *parts[0], align)]
+                    shard_losses = [_loss_shard(model, *parts[0])]
                 else:
                     # waits for another thread's shards: a serial step would have other bits
                     shard_losses = model.run_shards(_loss_shard, parts, wait=True)
                 for i, key in enumerate(("loss_diff", "loss_repa", "loss")):
                     row[key] = sum((b - a) / len(y) * losses[i]
                                    for (a, b), losses in zip(cuts, shard_losses))
+                row["zero_norm_pairs"] = sum(losses[3] for losses in shard_losses)
                 if not all(np.isfinite(losses[2]) for losses in shard_losses):
                     raise NumericError("loss non-finite")
                 grads = model.shard_grads(len(parts))
                 for shard_grad in grads[1:]:
                     # in shard order, so a run's bits do not depend on timing
                     np.add(grads[0], shard_grad, out=grads[0])
-                for group in state.groups[1:]:  # the projector's, taken in this process
-                    group.arena.gather_grads(group.grad)
-                for group in state.groups:
-                    if not np.isfinite(group.grad).all():
-                        name = next(name for name, g in group.arena.views(group.grad).items()
-                                    if not np.isfinite(g).all())
-                        raise NumericError(f"gradient of {name} non-finite")
+                if not np.isfinite(grads[0]).all():
+                    name = next(name for name, g in model.arena.views(grads[0]).items()
+                                if not np.isfinite(g).all())
+                    raise NumericError(f"gradient of {name} non-finite")
             except NumericError as exc:
                 bad = exc
             except BaseException:
@@ -437,13 +435,11 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
                     ) from bad
             else:
                 state.consecutive_bad = 0
-                sq, tmp = state.scratch
-                row["grad_norm"] = clip_gradients(state.groups, max_norm, sq)
-                for group in state.groups:
-                    p, scratch = group.arena.flat, tmp[:group.grad.size]
-                    adamw_step(p, group.grad, group.m, group.v, scratch, state.step + 1,
-                               lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
-                    ema_update(group.ema, p, cfg.ema_decay, scratch)
+                flat = state.flat
+                row["grad_norm"] = clip_gradients(flat, max_norm)
+                adamw_step(flat.arena.flat, flat.grad, flat.m, flat.v, flat.tmp, state.step + 1,
+                           lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
+                ema_update(flat.ema, flat.arena.flat, cfg.ema_decay, flat.tmp)
 
             state.metrics.append(row)
             if metrics_file is not None:

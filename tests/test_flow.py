@@ -97,7 +97,7 @@ class TestAlignment:
         proj = F.AlignmentProjector(4, 3, seed=0, dtype=np.float64)
         tokens = Tensor(np.random.default_rng(0).normal(size=(2, 5, 4)))
         feats = proj.apply(tokens).data
-        loss = F.loss_alignment(tokens, feats, proj)
+        loss, _ = F.loss_alignment(tokens, feats, proj)
         assert loss.data == pytest.approx(0.0, abs=1e-9)
 
     def test_orthogonal_gives_one_antiparallel_two(self):
@@ -106,8 +106,8 @@ class TestAlignment:
                 return tokens
 
         a = Tensor(np.array([[[1.0, 0.0]]]))
-        assert F.loss_alignment(a, np.array([[[0.0, 1.0]]]), IdentityProjector()).data == pytest.approx(1.0, abs=1e-9)
-        assert F.loss_alignment(a, np.array([[[-1.0, 0.0]]]), IdentityProjector()).data == pytest.approx(2.0, abs=1e-9)
+        assert F.loss_alignment(a, np.array([[[0.0, 1.0]]]), IdentityProjector())[0].data == pytest.approx(1.0, abs=1e-9)
+        assert F.loss_alignment(a, np.array([[[-1.0, 0.0]]]), IdentityProjector())[0].data == pytest.approx(2.0, abs=1e-9)
 
     def test_bounded_in_zero_two(self):
         rng = np.random.default_rng(7)
@@ -115,7 +115,7 @@ class TestAlignment:
         for _ in range(10):
             tokens = Tensor(rng.normal(size=(2, 6, 4)) * rng.uniform(0.1, 10))
             feats = rng.normal(size=(2, 6, 3))
-            loss = F.loss_alignment(tokens, feats, proj).data
+            loss = F.loss_alignment(tokens, feats, proj)[0].data
             assert 0.0 <= loss <= 2.0
 
     def test_zero_norm_counted_and_treated_as_zero_similarity(self):
@@ -123,11 +123,10 @@ class TestAlignment:
             def apply(self, tokens):
                 return tokens
 
-        F.zero_norm_warnings.reset()
         tokens = Tensor(np.array([[[0.0, 0.0], [1.0, 0.0]]]))
         feats = np.array([[[1.0, 0.0], [1.0, 0.0]]])
-        loss = F.loss_alignment(tokens, feats, IdentityProjector())
-        assert F.zero_norm_warnings.count == 1
+        loss, zero_pairs = F.loss_alignment(tokens, feats, IdentityProjector())
+        assert zero_pairs == 1
         assert loss.data == pytest.approx(0.5, abs=1e-6)  # (1 - 0)/2 + (1 - 1)/2
 
     def test_alignment_gradients(self):
@@ -136,11 +135,11 @@ class TestAlignment:
         tokens0 = rng.normal(size=(1, 4, 4))
         feats = rng.normal(size=(1, 4, 3))
         err = grad_check(
-            lambda t: F.loss_alignment(t, feats, proj), Tensor(tokens0, requires_grad=True), step=1e-5
+            lambda t: F.loss_alignment(t, feats, proj)[0], Tensor(tokens0, requires_grad=True), step=1e-5
         )
         assert err <= 1e-5
         err_w = grad_check(
-            lambda _t: F.loss_alignment(Tensor(tokens0), feats, proj), proj.fc2.w, step=1e-5
+            lambda _t: F.loss_alignment(Tensor(tokens0), feats, proj)[0], proj.fc2.w, step=1e-5
         )
         assert err_w <= 1e-5
 

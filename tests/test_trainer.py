@@ -15,6 +15,7 @@ from dualdit import checkpoint as C
 from dualdit import data as D
 from dualdit import flow as F
 from dualdit import model as M
+from dualdit import samplers as S
 from dualdit import trainer as TR
 from dualdit.errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from dualdit.model import DualLevelModel, toy_config
@@ -76,36 +77,30 @@ class TestAdamW:
         np.testing.assert_allclose(v, [0.999])
 
 
-def grad_groups(*groups: dict) -> list:
-    """Parameter groups whose gradient buffers hold the given gradients by name."""
-    out = []
-    for grads in groups:
-        arena = M.Arena({k: Tensor(np.zeros_like(g)) for k, g in grads.items()})
-        group = TR._group(arena, arena.like())
-        for view, g in zip(arena.views(group.grad).values(), grads.values()):
-            view[...] = g
-        out.append(group)
-    return out
+def flat_buffers(grads: dict) -> TR.FlatBuffers:
+    """Optimizer buffers over one arena whose gradient buffer holds the given gradients by name."""
+    arena = M.Arena({k: Tensor(np.zeros_like(g)) for k, g in grads.items()})
+    flat = TR.FlatBuffers(arena, arena.like(), m=arena.like(), v=arena.like(), ema=arena.like(),
+                          sq=arena.like(dtype=np.float64), tmp=arena.like())
+    for view, g in zip(arena.views(flat.grad).values(), grads.values()):
+        view[...] = g
+    return flat
 
 
-def clip(groups: list, max_norm: float) -> float:
-    return TR.clip_gradients(groups, max_norm, np.empty(max(g.grad.size for g in groups)))
-
-
-def grads_of(groups: list) -> dict:
-    return {k: g.copy() for group in groups for k, g in group.arena.views(group.grad).items()}
+def grads_of(flat: TR.FlatBuffers) -> dict:
+    return {k: g.copy() for k, g in flat.arena.views(flat.grad).items()}
 
 
 class TestClipping:
     def test_identity_below_max(self):
-        groups = grad_groups({"a": np.array([0.3, 0.4])})
-        assert clip(groups, 1.0) == pytest.approx(0.5)
-        np.testing.assert_array_equal(grads_of(groups)["a"], [0.3, 0.4])
+        flat = flat_buffers({"a": np.array([0.3, 0.4])})
+        assert TR.clip_gradients(flat, 1.0) == pytest.approx(0.5)
+        np.testing.assert_array_equal(grads_of(flat)["a"], [0.3, 0.4])
 
     def test_scales_to_max_norm(self):
-        groups = grad_groups({"a": np.array([6.0]), "b": np.array([8.0])})
-        assert clip(groups, 1.0) == pytest.approx(10.0)
-        assert np.linalg.norm(list(grads_of(groups).values())) == pytest.approx(1.0, abs=1e-9)
+        flat = flat_buffers({"a": np.array([6.0]), "b": np.array([8.0])})
+        assert TR.clip_gradients(flat, 1.0) == pytest.approx(10.0)
+        assert np.linalg.norm(list(grads_of(flat).values())) == pytest.approx(1.0, abs=1e-9)
 
     def test_equals_flattened_concatenation_oracle(self):
         rng = np.random.default_rng(0)
@@ -113,10 +108,10 @@ class TestClipping:
         flat = np.concatenate([grads["a"].ravel(), grads["b"].ravel()])
         max_norm = 0.5
         expected = flat * (max_norm / np.linalg.norm(flat))
-        groups = grad_groups({"a": grads["a"]}, {"b": grads["b"]})
-        clip(groups, max_norm)
+        flat = flat_buffers(grads)
+        TR.clip_gradients(flat, max_norm)
         np.testing.assert_allclose(
-            np.concatenate([g.ravel() for g in grads_of(groups).values()]), expected, rtol=1e-12)
+            np.concatenate([g.ravel() for g in grads_of(flat).values()]), expected, rtol=1e-12)
 
 
 class TestEma:
@@ -162,35 +157,27 @@ def loop_tail(params, grads, m, v, ema, step, lr, betas, weight_decay, eps, deca
 
 class TestFlatTail:
     def test_matches_the_per_tensor_loop_bitwise(self):
-        # float32 as trained, a clipped norm, decay on, a zero of each sign, two groups
+        # float32 as trained, a clipped norm, decay on, a zero of each sign, one arena
+        # over a model's and a projector's tensors
         rng = np.random.default_rng(4)
-        shapes = [{"w": (5, 3), "b": (3,)}, {"repa.w": (7, 2), "repa.b": (1,)}]
-        draw = lambda shape: rng.normal(size=shape).astype(np.float32)  # noqa: E731
-        groups = grad_groups(*({k: draw(s) for k, s in sh.items()} for sh in shapes))
-        groups[0].arena.views(groups[0].grad)["w"][0, :2] = [0.0, -0.0]
-        ref = {kind: {} for kind in ("p", "g", "m", "v", "ema")}
-        for group in groups:
-            for flat in (group.arena.flat, group.m, group.v, group.ema):
-                flat[...] = rng.normal(size=flat.size).astype(np.float32)
-            group.v[...] = np.abs(group.v)
-            for kind, flat in (("p", group.arena.flat), ("g", group.grad), ("m", group.m),
-                               ("v", group.v), ("ema", group.ema)):
-                ref[kind].update({k: a.copy() for k, a in group.arena.views(flat).items()})
+        shapes = {"w": (5, 3), "b": (3,), "repa.w": (7, 2), "repa.b": (1,)}
+        flat = flat_buffers({k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()})
+        flat.arena.views(flat.grad)["w"][0, :2] = [0.0, -0.0]
+        for buf in (flat.arena.flat, flat.m, flat.v, flat.ema):
+            buf[...] = rng.normal(size=buf.size).astype(np.float32)
+        flat.v[...] = np.abs(flat.v)
+        ref = {kind: {k: a.copy() for k, a in flat.arena.views(buf).items()}
+               for kind, buf in (("p", flat.arena.flat), ("g", flat.grad), ("m", flat.m),
+                                 ("v", flat.v), ("ema", flat.ema))}
         kw = dict(step=3, lr=1e-2, betas=(0.9, 0.999), weight_decay=0.05, eps=1e-8)
         want = loop_tail(ref["p"], ref["g"], ref["m"], ref["v"], ref["ema"],
                          decay=0.99, max_norm=0.5, **kw)
-        size = max(group.grad.size for group in groups)
-        sq, tmp = np.empty(size, np.float64), np.empty(size, np.float32)
-        assert TR.clip_gradients(groups, 0.5, sq) == want
-        for group in groups:
-            scratch = tmp[:group.grad.size]
-            TR.adamw_step(group.arena.flat, group.grad, group.m, group.v, scratch, **kw)
-            TR.ema_update(group.ema, group.arena.flat, 0.99, scratch)
-        for group in groups:
-            for kind, flat in (("p", group.arena.flat), ("m", group.m), ("v", group.v),
-                               ("ema", group.ema)):
-                for k, a in group.arena.views(flat).items():
-                    assert a.tobytes() == ref[kind][k].tobytes(), (kind, k)
+        assert TR.clip_gradients(flat, 0.5) == want
+        TR.adamw_step(flat.arena.flat, flat.grad, flat.m, flat.v, flat.tmp, **kw)
+        TR.ema_update(flat.ema, flat.arena.flat, 0.99, flat.tmp)
+        for kind, buf in (("p", flat.arena.flat), ("m", flat.m), ("v", flat.v), ("ema", flat.ema)):
+            for k, a in flat.arena.views(buf).items():
+                assert a.tobytes() == ref[kind][k].tobytes(), (kind, k)
 
 
 class TestTrainLoop:
@@ -266,6 +253,21 @@ class TestTrainLoop:
         projector = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim)
         state = TR.init_state(model, cfg, projector)
         TR.train(model, dataset, cfg, state=state, projector=projector)
+        assert state.step == 2
+
+    def test_a_state_over_a_rebuilt_arena_is_refused(self):
+        # a later init_state with another projector rebuilt the arena the state steps
+        model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
+        first = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim)
+        stale = TR.init_state(model, cfg, first)
+        other = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim, seed=1)
+        state = TR.init_state(model, cfg, other)
+        before = {key: a.copy() for key, a in state_arrays(stale).items()}
+        with pytest.raises(ConfigError, match="build the state again"):
+            TR.train(model, dataset, cfg, state=stale, projector=first)
+        assert stale.step == 0 and stale.metrics == []
+        assert_unchanged(stale, before)
+        TR.train(model, dataset, cfg, state=state, projector=other)
         assert state.step == 2
 
     def test_alignment_term_logged(self):
@@ -344,9 +346,9 @@ class TestCheckpointing:
                  metrics_path=str(tmp_path / "b.csv"), checkpoint_dir=tmp_path / "b")
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
-    def test_resume_with_alignment_projector(self, tmp_path):
+    def test_resume_with_alignment_projector(self, two_cores, tmp_path):
         # the projector's parameters are part of the optimizer state and must
-        # survive the checkpoint round trip
+        # survive the checkpoint round trip; every step shards
         model_a, dataset, cfg_a = tiny_setup(total_steps=8, align=0.5)
         full = TR.train(model_a, dataset, cfg_a)
         assert any(k.startswith("repa.") for k in full.params)
@@ -359,6 +361,9 @@ class TestCheckpointing:
         model_c, _, cfg_c = tiny_setup(total_steps=8, align=0.5)
         resumed = TR.train(model_c, dataset, cfg_c, resume_from=ck)
         assert TR.metrics_to_csv(full.metrics[4:]) == TR.metrics_to_csv(resumed.metrics)
+        assert two_cores == [4, 4] * 16
+        for key, a in state_arrays(full).items():
+            assert a.tobytes() == state_arrays(resumed)[key].tobytes(), key
 
     def test_resume_into_another_width_names_the_record(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=2)
@@ -392,14 +397,26 @@ class TestCheckpointing:
         TR.train(model, dataset, cfg, checkpoint_dir=tmp_path)
         ck = tmp_path / "final.ckpt"
         header, arrays = C.load(ck)
-        del arrays["ema.pixel_head.b"]  # the last record restore_state checks
-        C.save(ck, header, arrays)
+        no_step = {k: v for k, v in header.items() if k != "step"}
+        corrupted = [
+            # the last record restore_state checks
+            (header, {k: a for k, a in arrays.items() if k != "ema.pixel_head.b"},
+             "'ema.pixel_head.b'"),
+            (no_step, arrays, "'step'"),
+            ({**header, "step": "two"}, arrays, "'step'"),
+            ({**header, "rng_state": {"bit_generator": "PCG64"}}, arrays, "'rng_state'"),
+        ]
         fresh, _, _ = tiny_setup(total_steps=2, seed=1)
         state = TR.init_state(fresh, cfg)
         before = {key: a.copy() for key, a in state_arrays(state).items()}
-        with pytest.raises(ConfigError, match="'ema.pixel_head.b'"):
-            TR.restore_state(fresh, state, ck)
-        assert_unchanged(state, before)
+        rng_state = state.rng.bit_generator.state
+        for bad_header, bad_arrays, field in corrupted:
+            C.save(ck, bad_header, bad_arrays)
+            with pytest.raises(ConfigError, match=field):
+                TR.restore_state(fresh, state, ck)
+            assert_unchanged(state, before)
+            assert (state.step, state.skipped_steps, state.consecutive_bad) == (0, 0, 0)
+            assert state.rng.bit_generator.state == rng_state
 
     def test_resume_into_another_config_changes_nothing(self, tmp_path):
         # the flag changes no parameter shape, so only the header tells the models apart
@@ -511,6 +528,17 @@ class TestCheckpointFormat:
             C.load(path)
         assert exc.value.offset == len(blob)
 
+    def test_a_zero_dim_beside_dims_too_large_for_any_array(self, tmp_path):
+        # no data to read, but numpy refuses the shape
+        path = tmp_path / "c.ckpt"
+        hdr = b"{}"
+        blob = (C.MAGIC + struct.pack("<II", C.FORMAT_VERSION, len(hdr)) + hdr
+                + struct.pack("<IH", 1, 1) + b"a" + struct.pack("<B4I", 4, 0, *(2**32 - 1,) * 3))
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match="too large for any array") as exc:
+            C.load(path)
+        assert exc.value.offset == len(blob) - 16
+
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)), max_size=4),
@@ -540,12 +568,12 @@ class TestCheckpointFormat:
         assert exc.value.offset == at
 
 
-def crit9_setup(total_steps, **train_kw):
+def crit9_setup(total_steps, align_weight=0.0, **train_kw):
     """The criterion-9 tiny recipe (tests/test_acceptance.py)."""
     spec = D.ToyDatasetSpec(kind="solid_color", num_classes=2, resolution=(4, 4),
                             samples_per_class=16, noise_std=0.05, seed=31)
     cfg = TR.TrainConfig(lr=1e-3, batch_size=8, total_steps=total_steps,
-                         align_weight=0.0, seed=31, **train_kw)
+                         align_weight=align_weight, seed=31, **train_kw)
     model = DualLevelModel(toy_config(resolution=(4, 4), num_classes=2,
                                       patch_depth=1, pixel_depth=1), seed=31)
     return model, D.make_dataset(spec), cfg
@@ -561,9 +589,16 @@ CLIP = TR.clip_gradients
 def spy_gradients(monkeypatch) -> dict:
     """A dict that each train step fills with copies of its summed, pre-clip gradients."""
     seen = {}
-    monkeypatch.setattr(TR, "clip_gradients", lambda groups, norm, sq: seen.update(
-        grads_of(groups)) or CLIP(groups, norm, sq))
+    monkeypatch.setattr(TR, "clip_gradients", lambda flat, norm: seen.update(
+        grads_of(flat)) or CLIP(flat, norm))
     return seen
+
+
+class BlankEncoder(F.ToyAlignmentEncoder):
+    """Zero features, so that every alignment pair has zero norm."""
+
+    def evaluate(self, images):
+        return np.zeros_like(super().evaluate(images))
 
 
 def write_a_parameter(model, write: bool):
@@ -617,12 +652,11 @@ class TestShardedTraining:
         for k, t in model_full.params.items():
             assert t.data.tobytes() == model_res.params[k].data.tobytes(), k
         # the restore wrote into the flat buffers the optimizer steps
-        [group] = resumed.groups
+        flat = resumed.flat
         for k, t in model_res.params.items():
             assert np.shares_memory(t.data, model_res.arena.flat), k
-            for records, flat in ((resumed.m, group.m), (resumed.v, group.v),
-                                  (resumed.ema, group.ema)):
-                assert np.shares_memory(records[k], flat), k
+            for records, buf in ((resumed.m, flat.m), (resumed.v, flat.v), (resumed.ema, flat.ema)):
+                assert np.shares_memory(records[k], buf), k
 
     def test_one_shard_is_the_serial_step(self, shard_sizes, monkeypatch):
         # a batch whose shards would keep too few pixel tokens runs in one, with weight 1
@@ -714,19 +748,55 @@ class TestShardedTraining:
         assert model.arena.flat.tobytes() == before.tobytes()
 
     def test_sharded_run_matches_the_shards_run_here(self, two_cores, monkeypatch):
-        # clipping and weight decay active, so every optimizer buffer takes part
-        def run():
-            model, dataset, cfg = crit9_setup(4, clip_norm=0.01, weight_decay=0.1)
+        # clipping and weight decay active, so every optimizer buffer takes part;
+        # with the alignment term, a worker computes with a copy of the projector
+        def run(align_weight):
+            model, dataset, cfg = crit9_setup(4, align_weight, clip_norm=0.01, weight_decay=0.1)
             state = TR.train(model, dataset, cfg)
             assert all(m["grad_norm"] > cfg.clip_norm for m in state.metrics)
             return (TR.metrics_to_csv(state.metrics),
                     {key: a.tobytes() for key, a in state_arrays(state).items()})
 
-        sharded = run()
-        assert two_cores == [4, 4] * 4
+        sharded = [run(0.0), run(0.5)]
+        assert two_cores == [4, 4] * 8
+        assert any(key.startswith("repa.") for _, key in sharded[1][1])
         monkeypatch.setattr(M.DualLevelModel, "run_shards",
                             lambda self, fn, parts, wait: [fn(self, *part) for part in parts])
-        assert run() == sharded
+        assert [run(0.0), run(0.5)] == sharded
+
+    def test_alignment_runs_shard_and_are_bitwise_reproducible(self, two_cores):
+        runs = []
+        for _ in range(2):
+            model, dataset, cfg = crit9_setup(4, align_weight=0.5)
+            state = TR.train(model, dataset, cfg)
+            runs.append((TR.metrics_to_csv(state.metrics),
+                         {key: a.tobytes() for key, a in state_arrays(state).items()}))
+        assert two_cores == [4, 4] * 8  # the worker's rows, then this process's
+        assert all(m["loss_repa"] > 0.0 for m in state.metrics)
+        assert runs[0] == runs[1]
+
+    def test_every_shards_zero_norm_pairs_reach_the_row(self, two_cores, tmp_path):
+        model, dataset, cfg = crit9_setup(2, align_weight=0.5)
+        encoder = BlankEncoder(model.config.patch_size, model.config.channels)
+        state = TR.train(model, dataset, cfg, encoder=encoder, metrics_path=tmp_path / "m.csv")
+        assert two_cores == [4, 4] * 2
+        pairs = cfg.batch_size * model.config.num_patches
+        assert [m["zero_norm_pairs"] for m in state.metrics] == [pairs] * 2
+        assert (tmp_path / "m.csv").read_text() == TR.metrics_to_csv(state.metrics)
+
+    def test_a_model_that_sampled_first_trains_like_a_fresh_one(self, two_cores, tmp_path):
+        # the projector joins the arena the sampling worker was forked over
+        model, dataset, cfg = crit9_setup(3, align_weight=0.5)
+        S.sample(model, S.SamplerConfig(steps=2, seed=5), np.array([0, 1, 0, 1]))
+        [sampler] = model._shard_workers
+        TR.train(model, dataset, cfg, metrics_path=tmp_path / "a.csv")
+        [worker] = model._shard_workers
+        assert worker.pid != sampler.pid
+        with pytest.raises(ChildProcessError):
+            os.waitpid(sampler.pid, os.WNOHANG)  # stopped and reaped
+        fresh, _, _ = crit9_setup(3, align_weight=0.5)
+        TR.train(fresh, dataset, cfg, metrics_path=tmp_path / "b.csv")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_a_worker_cannot_write_the_arena(self):
         if M._openblas_threads() is None:
@@ -767,17 +837,15 @@ class TestShardedTraining:
         for k, t in model_full.params.items():
             assert t.data.tobytes() == model.params[k].data.tobytes(), k
 
-    def test_taped_caller_and_alignment_fork_no_worker(self, two_cores, monkeypatch):
+    def test_taped_caller_forks_no_worker(self, two_cores, monkeypatch):
         def no_workers(*args):
             raise AssertionError("forked a worker")
 
         monkeypatch.setattr(M, "_ShardWorker", no_workers)
         model, dataset, cfg = crit9_setup(2)
         with Tape():
-            TR.train(model, dataset, cfg)
-        model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
-        state = TR.train(model, dataset, cfg)
-        assert two_cores == [8] * 4 and state.skipped_steps == 0
+            state = TR.train(model, dataset, cfg)
+        assert two_cores == [8] * 2 and state.skipped_steps == 0
 
     def test_blas_threads_pinned_then_restored(self, two_cores, monkeypatch):
         get_threads, set_threads = M._openblas_threads()
