@@ -58,10 +58,11 @@ def cmd_train(args) -> int:
     model = DualLevelModel(cfg.model, seed=cfg.train.seed)
     os.makedirs(cfg.paths.checkpoint_dir, exist_ok=True)
     os.makedirs(os.path.dirname(cfg.paths.metrics) or ".", exist_ok=True)
+    state = TR.init_state(model, cfg.train)
     if args.resume:
         print(f"resuming from {args.resume}")
-    state = TR.train(model, dataset, cfg.train, resume_from=args.resume,
-                     metrics_path=cfg.paths.metrics,
+        TR.restore_state(model, state, args.resume)
+    state = TR.train(model, dataset, cfg.train, state=state, metrics_path=cfg.paths.metrics,
                      checkpoint_dir=cfg.paths.checkpoint_dir)
     final = [m for m in state.metrics if np.isfinite(m["loss"])]
     last = final[-1]["loss"] if final else float("nan")

@@ -335,48 +335,49 @@ class DualLevelModel:
         out = B.linear(X, self.pixel_head)
         return unpatchify(out.reshape(Bsz, L, p * p * C), p, cfg.grid, C)
 
-    def run_shards(self, fn, parts: list[tuple], wait: bool) -> Optional[list]:
+    def run_shards(self, fn, parts: list[tuple]) -> list:
         """``fn(self, *part)`` for each part, in parallel; the results in part order.
 
-        This process runs the first part and forked copies of the model (kept
-        on it, forked by the first call that needs them) the others, all with
+        A single part runs here, as a plain call. With more, this process
+        runs the first part and forked copies of the model (kept on it,
+        forked by the first call that needs them) the others, all with
         OpenBLAS on one thread. Sampling runs a shard's trajectories through
         it, the train step a shard's loss and backward. ``fn`` must be a
         module-level function, since it reaches a worker by reference. The
-        BLAS thread count is process-wide, so one call runs at a time: with
-        ``wait`` False a call that finds another running returns None at once. A part's exception
+        BLAS thread count is process-wide, so one sharded call runs at a
+        time: a call waits for another thread's shards. A part's exception
         is raised here, that of the first part in order when several raise.
         """
-        if not _SHARD_LOCK.acquire(blocking=wait):
-            return None
-        get_threads, set_threads = _openblas_threads()
-        threads = get_threads()
-        workers = self._shard_workers
-        others = len(parts) - 1
-        replied = False
-        try:
-            while len(workers) < others:
-                # the arena and its shard's gradient buffer: a worker sees only
-                # the mappings made before it is forked
-                self.shard_grads(len(workers) + 2)
-                workers.append(_ShardWorker(self))
-            # each shard's GEMMs on several BLAS threads would oversubscribe the cores
-            set_threads(1)
-            for worker, part in zip(workers, parts[1:]):
-                worker.submit(fn, part)
+        if len(parts) == 1:
+            return [fn(self, *parts[0])]
+        with _SHARD_LOCK:
+            get_threads, set_threads = _openblas_threads()
+            threads = get_threads()
+            workers = self._shard_workers
+            others = len(parts) - 1
+            replied = False
             try:
-                first = fn(self, *parts[0])
+                while len(workers) < others:
+                    # the arena and its shard's gradient buffer: a worker sees only
+                    # the mappings made before it is forked
+                    self.shard_grads(len(workers) + 2)
+                    workers.append(_ShardWorker(self))
+                # each shard's GEMMs on several BLAS threads would oversubscribe the cores
+                set_threads(1)
+                for worker, part in zip(workers, parts[1:]):
+                    worker.submit(fn, part)
+                try:
+                    first = fn(self, *parts[0])
+                finally:
+                    # also when the first part raised, so that no reply is left unread
+                    replies = [worker.reply() for worker in workers[:others]]
+                    replied = True
             finally:
-                # also when the first part raised, so that no reply is left unread
-                replies = [worker.reply() for worker in workers[:others]]
-                replied = True
-        finally:
-            set_threads(threads)
-            if not replied:
-                # a worker died or the wait was interrupted: a later reply could
-                # answer the wrong request, so the next call forks fresh ones
-                self._stop_workers()
-            _SHARD_LOCK.release()
+                set_threads(threads)
+                if not replied:
+                    # a worker died or the wait was interrupted: a later reply could
+                    # answer the wrong request, so the next call forks fresh ones
+                    self._stop_workers()
         for ok, value in replies:
             if not ok:
                 raise value

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import model as M
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, ShapeError
 
 SOLVERS = ("euler", "heun", "flow_dpm")
 
@@ -194,10 +194,10 @@ def sample(model, cfg: SamplerConfig, y: np.ndarray,
 
     No trajectory depends on its batch neighbours, so the batch is cut by
     ``dualdit.model.shard_cuts`` and each shard runs its whole ODE through
-    the model's ``run_shards``, one join per batch. It runs here in one
-    piece while another thread runs shards, or when the model has no
-    ``run_shards``. Either way the images are bitwise the serial run's
-    wherever BLAS runs a shard's GEMMs with the whole batch's kernel.
+    the model's ``run_shards``, one join per batch; a call waits for another
+    thread's shards. The images are bitwise the serial run's wherever BLAS
+    runs a shard's GEMMs with the whole batch's kernel. ``initial``, when
+    given, holds the starting noise: len(y)*C*H*W values.
     """
     mc = model.config
     y = np.asarray(y, dtype=np.int64)
@@ -207,13 +207,13 @@ def sample(model, cfg: SamplerConfig, y: np.ndarray,
         rng = np.random.default_rng(np.random.PCG64(cfg.seed))
         x = rng.standard_normal(shape).astype(model.dtype)
     else:
-        x = np.asarray(initial, dtype=model.dtype).reshape(shape).copy()
+        x = np.asarray(initial, dtype=model.dtype)
+        if x.size != math.prod(shape):
+            raise ShapeError(f"initial holds {x.size} values; {n} images of "
+                             f"{shape[1:]} need {math.prod(shape)}")
+        x = x.reshape(shape).copy()
     cuts = M.shard_cuts(n, mc.resolution[0] * mc.resolution[1])
-    outs = None
-    if len(cuts) > 1 and hasattr(model, "run_shards"):
-        outs = model.run_shards(_sample_rows, [(x[a:b], y[a:b], cfg) for a, b in cuts], wait=False)
-    if outs is None:
-        outs = [_sample_rows(model, x, y, cfg)]
+    outs = model.run_shards(_sample_rows, [(x[a:b], y[a:b], cfg) for a, b in cuts])
     failed = [out for out in outs if isinstance(out, NumericError)]
     if failed:
         # the serial run stops at the first step where any row fails

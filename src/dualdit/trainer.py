@@ -8,17 +8,20 @@ Each step draws its noise and timesteps, then its label dropout; a step that
 raises puts the generator back, so calling ``train`` again redoes it exactly.
 
 Each step splits its batch by ``model.shard_cuts`` and runs the shards'
-losses and backwards data-parallel; the gradients are summed in shard order.
-A run's bits therefore depend on the number of usable cores, as they do on
-the BLAS build; with one shard the step is the serial one.
+losses and backwards data-parallel through ``model.run_shards``; the
+gradients are summed in shard order. A run's bits therefore depend on the
+number of usable cores, as they do on the BLAS build; with one shard the
+step is the serial one.
 
-Every trained tensor, the alignment projector's too, is a view of the
-model's arena, which the shard workers read (``DualLevelModel.share``).
-Gradients arrive in buffers of the same layout, and clipping, AdamW and the
-EMA run once per step as in-place elementwise ops over them
-(``FlatBuffers``) with the bits of per-tensor loops. ``TrainState.m``,
-``.v`` and ``.ema`` are dicts of views of the flat buffers, so checkpoints
-keep their format.
+``init_state`` builds every train state. With the representation-alignment
+term on, the state holds the alignment projector; its tensors, like every
+other trained tensor, are views of the model's arena, which the shard
+workers read (``DualLevelModel.share``). Gradients arrive in buffers of the
+same layout, and clipping, AdamW and the EMA run once per step as in-place
+elementwise ops over them (``FlatBuffers``) with the bits of per-tensor
+loops. A checkpoint's records are views of those buffers
+(``TrainState.records``), so a save reads them and a resume
+(``restore_state``) writes them in place.
 """
 
 from __future__ import annotations
@@ -62,21 +65,39 @@ class TrainConfig:
     logit_normal_std: float = 1.0
 
     def __post_init__(self):
-        if not (0.0 < self.ema_decay < 1.0) and self.ema_decay != 0.0:
-            raise ConfigError("ema_decay must lie in [0, 1)")
-        if self.clip_norm <= 0:
-            raise ConfigError("clip_norm must be positive")
-        if self.batch_size < 1 or self.total_steps < 0:
-            raise ConfigError("batch_size >= 1 and total_steps >= 0 required")
+        b1, b2 = self.betas
+        # comparisons, so that NaN fails every one
+        ranges = {
+            "lr": (self.lr >= 0, ">= 0"),
+            "lr_after_switch": (self.lr_after_switch >= 0, ">= 0"),
+            "switch_step": (self.switch_step is None or self.switch_step >= 0, "None or >= 0"),
+            "betas": (0 <= b1 < 1 and 0 <= b2 < 1, "two values in [0, 1)"),
+            "weight_decay": (self.weight_decay >= 0, ">= 0"),
+            "ema_decay": (0 <= self.ema_decay < 1, "in [0, 1)"),
+            "clip_norm": (self.clip_norm > 0, "> 0"),
+            "clip_after_switch": (self.clip_after_switch > 0, "> 0"),
+            "batch_size": (self.batch_size >= 1, ">= 1"),
+            "total_steps": (self.total_steps >= 0, ">= 0"),
+            "class_drop_prob": (0 <= self.class_drop_prob <= 1, "in [0, 1]"),
+            "align_weight": (self.align_weight >= 0, ">= 0"),
+            "align_feature_dim": (self.align_feature_dim >= 1, ">= 1"),
+            "adam_eps": (self.adam_eps > 0, "> 0"),
+            "seed": (self.seed >= 0, ">= 0"),
+            "checkpoint_every": (self.checkpoint_every >= 0, ">= 0"),
+            "logit_normal_std": (self.logit_normal_std >= 0, ">= 0"),
+        }
+        for name, (ok, allowed) in ranges.items():
+            if not ok:
+                raise ConfigError(f"{name} must be {allowed}, got {getattr(self, name)!r}")
 
 
 @dataclass
 class FlatBuffers:
     """The optimizer's buffers, each laid out like ``arena``.
 
-    ``grad`` receives each step's gradients; ``TrainState.m``, ``.v`` and
-    ``.ema`` hold per-tensor views of ``m``, ``v`` and ``ema``. ``sq``
-    (float64) and ``tmp`` are scratch.
+    ``grad`` receives each step's gradients; ``m`` and ``v`` are AdamW's
+    moments and ``ema`` the parameters' moving average. ``sq`` (float64) and
+    ``tmp`` are scratch.
     """
     arena: Arena
     grad: np.ndarray
@@ -90,15 +111,22 @@ class FlatBuffers:
 @dataclass
 class TrainState:
     step: int
-    params: dict[str, Tensor]
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
-    ema: dict[str, np.ndarray]
     rng: np.random.Generator
     flat: FlatBuffers
+    projector: Optional[F.AlignmentProjector] = None  # set when the alignment term is on
     skipped_steps: int = 0
     consecutive_bad: int = 0
     metrics: list[dict] = field(default_factory=list)
+
+    def records(self) -> dict[str, np.ndarray]:
+        """The checkpoint records by name ("param.", "adam_m.", "adam_v.", "ema." + tensor):
+        views of the arena and of the optimizer's buffers."""
+        arena, flat = self.flat.arena, self.flat
+        out = {}
+        for kind, buf in (("param", arena.flat), ("adam_m", flat.m), ("adam_v", flat.v),
+                          ("ema", flat.ema)):
+            out.update({f"{kind}.{name}": view for name, view in arena.views(buf).items()})
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +234,25 @@ def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight
     return losses
 
 
-def init_state(model: DualLevelModel, cfg: TrainConfig,
-               projector: Optional[F.AlignmentProjector] = None) -> TrainState:
+def init_state(model: DualLevelModel, cfg: TrainConfig) -> TrainState:
+    """A fresh train state for ``model`` under ``cfg``; every train state is built here.
+
+    With ``cfg.align_weight`` positive the state holds the alignment
+    projector, seeded by ``cfg.seed``, whose tensors join the model's arena
+    (``DualLevelModel.share``). To resume, pass the state to ``restore_state``.
+    """
+    projector = None
+    if cfg.align_weight > 0.0:
+        projector = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim,
+                                         seed=cfg.seed, dtype=model.dtype)
     model.share({} if projector is None else projector.params)
     arena = model.arena
     # the gradients arrive in the buffer of shard 0, the caller's
     flat = FlatBuffers(arena, model.shard_grads(1)[0], m=arena.like(), v=arena.like(),
                        ema=arena.like(), sq=arena.like(dtype=np.float64), tmp=arena.like())
     flat.ema[...] = arena.flat
-    return TrainState(
-        step=0, params=dict(arena.params),
-        m=arena.views(flat.m), v=arena.views(flat.v), ema=arena.views(flat.ema),
-        rng=np.random.default_rng(np.random.PCG64(cfg.seed)), flat=flat,
-    )
+    return TrainState(step=0, rng=np.random.default_rng(np.random.PCG64(cfg.seed)), flat=flat,
+                      projector=projector)
 
 
 def save_checkpoint(path, model: DualLevelModel, state: TrainState):
@@ -230,13 +264,7 @@ def save_checkpoint(path, model: DualLevelModel, state: TrainState):
         "skipped_steps": state.skipped_steps,
         "consecutive_bad": state.consecutive_bad,
     }
-    arrays: dict[str, np.ndarray] = {}
-    for name, t in state.params.items():
-        arrays[f"param.{name}"] = t.data
-        arrays[f"adam_m.{name}"] = state.m[name]
-        arrays[f"adam_v.{name}"] = state.v[name]
-        arrays[f"ema.{name}"] = state.ema[name]
-    ckpt.save(path, header, arrays)
+    ckpt.save(path, header, state.records())
 
 
 def load_model(path, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
@@ -247,13 +275,17 @@ def load_model(path, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
 
 
 def restore_state(model: DualLevelModel, state: TrainState, path):
+    """Load checkpoint ``path`` into ``state``, built by ``init_state`` for ``model``.
+
+    This is how a run resumes: the metric stream then continues exactly
+    where the uninterrupted run's would be. Every record and header field
+    is checked before any is written, so a bad checkpoint changes nothing.
+    """
     header, arrays = ckpt.load(path)
     if header.get("kind") != "train_state":
         raise ConfigError(f"{path} is not a training checkpoint")
-    # check every record before assigning any, so a bad checkpoint changes nothing
-    kinds = ("param", "adam_m", "adam_v", "ema")
-    checked = {(kind, name): ckpt.get_record(arrays, f"{kind}.{name}", t.shape)
-               for name, t in state.params.items() for kind in kinds}
+    records = state.records()
+    checked = {name: ckpt.get_record(arrays, name, view.shape) for name, view in records.items()}
     # fields that change no shape (rope_pixel_pathway, cond_uses_class) pass the record
     # checks; the header holds the config as JSON, where tuples read back as lists
     saved = header.get("model_config", {})
@@ -271,11 +303,8 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
         rng.bit_generator.state = header.get("rng_state")
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"{path} holds a malformed header field 'rng_state': {exc!r}") from None
-    # in place: the records are views of the optimizer's flat buffers
-    for name, t in state.params.items():
-        t.data[...] = checked["param", name]
-        for kind, records in zip(kinds[1:], (state.m, state.v, state.ema)):
-            records[name][...] = checked[kind, name]
+    for name, view in records.items():
+        view[...] = checked[name]
     state.step, state.skipped_steps, state.consecutive_bad = counters.values()
     state.rng = rng
     return state
@@ -308,49 +337,40 @@ def _drop_metrics_from(path, step: int):
         os.replace(tmp, path)
 
 
-def train(model: DualLevelModel, dataset, cfg: TrainConfig,
-          state: Optional[TrainState] = None, resume_from=None,
-          metrics_path=None, checkpoint_dir=None,
-          encoder: Optional[F.ToyAlignmentEncoder] = None,
-          projector: Optional[F.AlignmentProjector] = None) -> TrainState:
+def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[TrainState] = None,
+          metrics_path=None, checkpoint_dir=None) -> TrainState:
     """Run the optimization loop until cfg.total_steps.
 
     ``dataset`` provides .images (N, C, H, W in [-1, 1]) and .labels (N,).
-    ``resume_from`` restores a checkpoint (after the optimizer state,
-    including any alignment projector, has been assembled), so the metric
-    stream continues exactly where the uninterrupted run would be.
+    ``state`` comes from ``init_state`` under the same ``align_weight``, and
+    through ``restore_state`` to resume; a fresh one is built when none is
+    given. The alignment term compares the state's projector with a frozen
+    ``flow.ToyAlignmentEncoder`` built from ``cfg``.
     """
     mcfg = model.config
-    use_align = cfg.align_weight > 0.0
-    if use_align:
-        if encoder is None:
-            encoder = F.ToyAlignmentEncoder(mcfg.patch_size, mcfg.channels,
-                                            feature_dim=cfg.align_feature_dim)
-        if projector is None:
-            projector = F.AlignmentProjector(mcfg.patch_dim, encoder.patch_feature_dim,
-                                             seed=cfg.seed, dtype=model.dtype)
     if state is None:
-        state = init_state(model, cfg, projector)
+        state = init_state(model, cfg)
     if state.flat.arena is not model.arena:
         raise ConfigError(
             "the train state's flat buffers no longer back the model's tensors: a later "
             "init_state rebuilt the model's arena; build the state again"
         )
-    if use_align:
-        missing = [name for name, t in projector.params.items() if state.params.get(name) is not t]
-        if missing:
-            raise ConfigError(
-                "alignment is on but the train state does not hold the projector's "
-                f"tensors {missing}; pass init_state the projector that train is given"
-            )
-    if resume_from is not None:
-        restore_state(model, state, resume_from)
-    tap = cfg.align_tap if cfg.align_tap is not None else min(8, mcfg.patch_depth)
-    if use_align and not (1 <= tap <= mcfg.patch_depth):
+    if (state.projector is not None) != (cfg.align_weight > 0.0):
         raise ConfigError(
-            f"align_tap {tap} outside the patch pathway (depth {mcfg.patch_depth})"
+            f"align_weight is {cfg.align_weight} but the train state was built "
+            f"{'with' if state.projector is not None else 'without'} an alignment projector; "
+            "build it with init_state under this config"
         )
-    align = (encoder, projector, tap, cfg.align_weight) if use_align else None
+    align = None
+    if state.projector is not None:
+        tap = cfg.align_tap if cfg.align_tap is not None else min(8, mcfg.patch_depth)
+        if not 1 <= tap <= mcfg.patch_depth:
+            raise ConfigError(
+                f"align_tap {tap} outside the patch pathway (depth {mcfg.patch_depth})"
+            )
+        encoder = F.ToyAlignmentEncoder(mcfg.patch_size, mcfg.channels,
+                                        feature_dim=cfg.align_feature_dim)
+        align = (encoder, state.projector, tap, cfg.align_weight)
     H, W = mcfg.resolution
 
     images = np.asarray(dataset.images)
@@ -399,11 +419,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig,
                 cuts = shard_cuts(len(y), H * W)
                 parts = [(batch.rows(a, b), y[a:b], (b - a) / len(y), i, align)
                          for i, (a, b) in enumerate(cuts)]
-                if len(parts) == 1:
-                    shard_losses = [_loss_shard(model, *parts[0])]
-                else:
-                    # waits for another thread's shards: a serial step would have other bits
-                    shard_losses = model.run_shards(_loss_shard, parts, wait=True)
+                shard_losses = model.run_shards(_loss_shard, parts)
                 for i, key in enumerate(("loss_diff", "loss_repa", "loss")):
                     row[key] = sum((b - a) / len(y) * losses[i]
                                    for (a, b), losses in zip(cuts, shard_losses))

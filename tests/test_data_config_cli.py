@@ -314,6 +314,41 @@ class TestCli:
         assert manifest["sampler"]["seed"] == 9
         assert len(manifest["checkpoint_sha256"]) == 64
 
+    @pytest.mark.parametrize("align", ["0.0", "0.5"])
+    def test_train_resume_matches_the_uninterrupted_run(self, tmp_path, align):
+        train = ["train", "--config", "run.cfg", "--set", "train.checkpoint_every=2",
+                 "--set", f"train.align_weight={align}"]
+
+        def run(name, *args):
+            (tmp_path / name).mkdir(exist_ok=True)
+            (tmp_path / name / "run.cfg").write_text(CONFIG_TEXT)
+            res = run_cli(train + list(args), tmp_path / name)
+            assert res.returncode == 0, res.stderr
+            return res
+
+        def outputs(name):
+            files = {"metrics.csv": (tmp_path / name / "runs/metrics.csv").read_bytes()}
+            files.update({p.name: p.read_bytes() for p in (tmp_path / name / "runs/ck").iterdir()})
+            return files
+
+        run("full")
+        full = outputs("full")
+        assert sorted(full) == ["final.ckpt", "metrics.csv", "step00000002.ckpt",
+                                "step00000004.ckpt"]
+        # stopped after step 3, one past its checkpoint at 2, then resumed in place
+        run("cut", "--set", "train.total_steps=3")
+        res = run("cut", "--resume", "runs/ck/step00000002.ckpt")
+        assert "resuming from runs/ck/step00000002.ckpt" in res.stdout
+        assert outputs("cut") == full
+        # resumed elsewhere, the run logs and saves only the steps from 2 on
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "elsewhere/start.ckpt").write_bytes(full["step00000002.ckpt"])
+        run("elsewhere", "--resume", "start.ckpt")
+        rows = full["metrics.csv"].decode().splitlines(keepends=True)
+        assert outputs("elsewhere") == {
+            "metrics.csv": "".join(rows[:1] + rows[3:]).encode(),
+            "step00000004.ckpt": full["step00000004.ckpt"], "final.ckpt": full["final.ckpt"]}
+
     def test_sample_writes_the_same_bytes_on_one_core_and_two(self, tmp_path, shard_sizes,
                                                               monkeypatch):
         # in this process, so that the usable cores can be patched

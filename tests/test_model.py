@@ -3,6 +3,7 @@
 import gc
 import os
 import signal
+import threading
 
 import numpy as np
 import pytest
@@ -290,15 +291,22 @@ class TestShardedForward:
             S.sample(model, S.SamplerConfig(solver="euler", steps=1), y)
         assert shard_sizes == [64] * 3 and len(tape) > 0
 
-    def test_serial_without_the_setter_or_with_the_region_taken(self, shard_sizes, monkeypatch):
+    def test_a_sample_waits_for_another_threads_shards(self, shard_sizes):
+        # as a train step does, rather than running in one piece
         model = desk_model()
-        cfg = S.SamplerConfig(solver="euler", steps=1)
-        y = np.arange(64) % 3
-        with M._SHARD_LOCK:
-            S.sample(model, cfg, y)
+        M._SHARD_LOCK.acquire()
+        release = threading.Timer(0.2, M._SHARD_LOCK.release)
+        release.start()
+        try:
+            S.sample(model, S.SamplerConfig(solver="euler", steps=1), np.arange(64) % 3)
+        finally:
+            release.join(timeout=10)
+        assert shard_sizes == [32, 32] and not release.is_alive()
+
+    def test_serial_without_the_setter(self, shard_sizes, monkeypatch):
         monkeypatch.setattr(M, "_openblas_threads", lambda: None)
-        S.sample(model, cfg, y)
-        assert shard_sizes == [64, 64]
+        S.sample(desk_model(), S.SamplerConfig(solver="euler", steps=1), np.arange(64) % 3)
+        assert shard_sizes == [64]
 
     def test_bad_class_id_in_a_worker_shard(self, shard_sizes):
         model = desk_model()

@@ -5,7 +5,7 @@ import pytest
 
 from dualdit import model as M
 from dualdit import samplers as S
-from dualdit.errors import ConfigError, NumericError
+from dualdit.errors import ConfigError, NumericError, ShapeError
 
 
 class TestSchedule:
@@ -202,16 +202,15 @@ class TestSampleFunction:
         np.testing.assert_array_equal(no_guid, plain)
 
     def test_non_finite_abort_names_step(self):
-        class BadModel:
-            config = self.model.config
-            dtype = np.float32
-
-            def forward(self, x, t, y, **kw):
-                from dualdit.tensor import Tensor
-                return Tensor(np.full_like(np.asarray(x, dtype=np.float64), np.nan))
-
+        self.model.params["pixel_head.w"].data[...] = np.nan
         with pytest.raises(NumericError, match="step 0"):
-            S.sample(BadModel(), S.SamplerConfig(solver="euler", steps=3, seed=6), self.y)
+            S.sample(self.model, S.SamplerConfig(solver="euler", steps=3, seed=6), self.y)
+
+    def test_initial_of_another_size_is_refused(self):
+        # three images' worth of noise for a batch of two
+        with pytest.raises(ShapeError, match="initial holds 576 values.* need 384"):
+            S.sample(self.model, S.SamplerConfig(solver="euler", steps=1), self.y,
+                     initial=np.zeros(576, np.float32))
 
     def test_output_clamped(self):
         cfg = S.SamplerConfig(solver="euler", steps=2, seed=7)

@@ -34,16 +34,8 @@ def tiny_setup(total_steps=8, align=0.0, seed=0, **train_kw):
     return model, dataset, cfg
 
 
-def state_arrays(state) -> dict:
-    """Every param, Adam moment and EMA array of a train state, by (kind, name)."""
-    out = {("param", name): t.data for name, t in state.params.items()}
-    for kind, records in (("m", state.m), ("v", state.v), ("ema", state.ema)):
-        out.update({(kind, name): a for name, a in records.items()})
-    return out
-
-
 def assert_unchanged(state, before: dict):
-    after = state_arrays(state)
+    after = state.records()
     assert after.keys() == before.keys()
     for key, a in before.items():
         assert after[key].tobytes() == a.tobytes(), key
@@ -180,6 +172,18 @@ class TestFlatTail:
                 assert a.tobytes() == ref[kind][k].tobytes(), (kind, k)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("align_weight", -0.5), ("class_drop_prob", 1.5), ("lr", -1.0), ("weight_decay", -0.1),
+        ("betas", (1.5, 0.999)), ("adam_eps", 0.0), ("checkpoint_every", -1),
+        ("switch_step", -1), ("clip_after_switch", -1.0), ("logit_normal_std", -1.0),
+        ("align_feature_dim", 0), ("lr", float("nan")), ("lr_after_switch", -1.0), ("seed", -1),
+    ])
+    def test_out_of_range_field_is_refused(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^{field} must be"):
+            TR.TrainConfig(**{field: value})
+
+
 class TestTrainLoop:
     def test_zero_steps_no_metrics(self):
         model, dataset, cfg = tiny_setup(total_steps=0)
@@ -241,33 +245,36 @@ class TestTrainLoop:
         with pytest.raises(InputError, match=r"\[0, 2\]"):
             TR.train(model, dataset, cfg)
 
-    def test_alignment_needs_the_projector_in_the_state(self):
-        # a projector built by train would not be in the optimizer's records
-        model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
-        state = TR.init_state(model, cfg)
-        before = {key: a.copy() for key, a in state_arrays(state).items()}
-        with pytest.raises(ConfigError, match=r"'repa\.fc1\.w', 'repa\.fc1\.b'"):
-            TR.train(model, dataset, cfg, state=state)
-        assert state.step == 0 and state.metrics == []
-        assert_unchanged(state, before)
-        projector = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim)
-        state = TR.init_state(model, cfg, projector)
-        TR.train(model, dataset, cfg, state=state, projector=projector)
-        assert state.step == 2
+    def test_alignment_needs_the_projector_in_the_state(self, tmp_path):
+        # the projector is in the optimizer's records exactly when alignment is on
+        for built, run, held in ((0.0, 0.5, "without"), (0.5, 0.0, "with")):
+            model, dataset, cfg = tiny_setup(total_steps=2, align=built)
+            state = TR.init_state(model, cfg)
+            assert any(key.startswith("param.repa.") for key in state.records()) == (built > 0)
+            before = {key: a.copy() for key, a in state.records().items()}
+            cfg = dataclasses.replace(cfg, align_weight=run)
+            out = tmp_path / f"built{built}"
+            out.mkdir()
+            with pytest.raises(ConfigError, match=f"align_weight is {run} .* {held} an alignment"):
+                TR.train(model, dataset, cfg, state=state, metrics_path=out / "m.csv",
+                         checkpoint_dir=out)
+            assert state.step == 0 and state.metrics == []
+            assert_unchanged(state, before)
+            assert list(out.iterdir()) == []
+            state = TR.train(model, dataset, cfg, state=TR.init_state(model, cfg))
+            assert state.step == 2
 
     def test_a_state_over_a_rebuilt_arena_is_refused(self):
-        # a later init_state with another projector rebuilt the arena the state steps
+        # a later init_state, with a projector of its own, rebuilt the arena the state steps
         model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
-        first = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim)
-        stale = TR.init_state(model, cfg, first)
-        other = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim, seed=1)
-        state = TR.init_state(model, cfg, other)
-        before = {key: a.copy() for key, a in state_arrays(stale).items()}
+        stale = TR.init_state(model, cfg)
+        state = TR.init_state(model, cfg)
+        before = {key: a.copy() for key, a in stale.records().items()}
         with pytest.raises(ConfigError, match="build the state again"):
-            TR.train(model, dataset, cfg, state=stale, projector=first)
+            TR.train(model, dataset, cfg, state=stale)
         assert stale.step == 0 and stale.metrics == []
         assert_unchanged(stale, before)
-        TR.train(model, dataset, cfg, state=state, projector=other)
+        TR.train(model, dataset, cfg, state=state)
         assert state.step == 2
 
     def test_alignment_term_logged(self):
@@ -342,8 +349,10 @@ class TestCheckpointing:
         TR.train(model_b, dataset, cfg_b, metrics_path=str(tmp_path / "b.csv"),
                  checkpoint_dir=tmp_path / "b")
         model_c, _, cfg_c = tiny_setup(total_steps=6, checkpoint_every=3)
-        TR.train(model_c, dataset, cfg_c, resume_from=tmp_path / "b/step00000003.ckpt",
-                 metrics_path=str(tmp_path / "b.csv"), checkpoint_dir=tmp_path / "b")
+        state_c = TR.restore_state(model_c, TR.init_state(model_c, cfg_c),
+                                   tmp_path / "b/step00000003.ckpt")
+        TR.train(model_c, dataset, cfg_c, state=state_c, metrics_path=str(tmp_path / "b.csv"),
+                 checkpoint_dir=tmp_path / "b")
         assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
 
     def test_resume_with_alignment_projector(self, two_cores, tmp_path):
@@ -351,7 +360,7 @@ class TestCheckpointing:
         # survive the checkpoint round trip; every step shards
         model_a, dataset, cfg_a = tiny_setup(total_steps=8, align=0.5)
         full = TR.train(model_a, dataset, cfg_a)
-        assert any(k.startswith("repa.") for k in full.params)
+        assert any(k.startswith("param.repa.") for k in full.records())
 
         model_b, _, cfg_b = tiny_setup(total_steps=4, align=0.5)
         half = TR.train(model_b, dataset, cfg_b)
@@ -359,11 +368,12 @@ class TestCheckpointing:
         TR.save_checkpoint(ck, model_b, half)
 
         model_c, _, cfg_c = tiny_setup(total_steps=8, align=0.5)
-        resumed = TR.train(model_c, dataset, cfg_c, resume_from=ck)
+        resumed = TR.train(model_c, dataset, cfg_c,
+                           state=TR.restore_state(model_c, TR.init_state(model_c, cfg_c), ck))
         assert TR.metrics_to_csv(full.metrics[4:]) == TR.metrics_to_csv(resumed.metrics)
         assert two_cores == [4, 4] * 16
-        for key, a in state_arrays(full).items():
-            assert a.tobytes() == state_arrays(resumed)[key].tobytes(), key
+        for key, a in full.records().items():
+            assert a.tobytes() == resumed.records()[key].tobytes(), key
 
     def test_resume_into_another_width_names_the_record(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=2)
@@ -408,7 +418,7 @@ class TestCheckpointing:
         ]
         fresh, _, _ = tiny_setup(total_steps=2, seed=1)
         state = TR.init_state(fresh, cfg)
-        before = {key: a.copy() for key, a in state_arrays(state).items()}
+        before = {key: a.copy() for key, a in state.records().items()}
         rng_state = state.rng.bit_generator.state
         for bad_header, bad_arrays, field in corrupted:
             C.save(ck, bad_header, bad_arrays)
@@ -424,7 +434,7 @@ class TestCheckpointing:
         TR.train(model, dataset, cfg, checkpoint_dir=tmp_path)
         other = DualLevelModel(dataclasses.replace(model.config, rope_pixel_pathway=False), seed=1)
         state = TR.init_state(other, cfg)
-        before = {key: a.copy() for key, a in state_arrays(state).items()}
+        before = {key: a.copy() for key, a in state.records().items()}
         with pytest.raises(ConfigError, match="rope_pixel_pathway saved True, model False"):
             TR.restore_state(other, state, tmp_path / "final.ckpt")
         assert_unchanged(state, before)
@@ -449,7 +459,7 @@ class TestCheckpointing:
         ema_model = TR.load_model(ck, use_ema=True)
         np.testing.assert_allclose(
             ema_model.params["pixel_head.w"].data,
-            state.ema["pixel_head.w"].astype(np.float32), rtol=1e-6)
+            state.records()["ema.pixel_head.w"], rtol=1e-6)
         raw_model = TR.load_model(ck, use_ema=False)
         np.testing.assert_array_equal(
             raw_model.params["pixel_head.w"].data, model.params["pixel_head.w"].data)
@@ -647,16 +657,17 @@ class TestShardedTraining:
         model_half, _, cfg_half = crit9_setup(5)
         TR.save_checkpoint(tmp_path / "mid.ckpt", model_half, TR.train(model_half, dataset, cfg_half))
         model_res, _, cfg_res = crit9_setup(10)
-        resumed = TR.train(model_res, dataset, cfg_res, resume_from=tmp_path / "mid.ckpt")
+        resumed = TR.train(model_res, dataset, cfg_res, state=TR.restore_state(
+            model_res, TR.init_state(model_res, cfg_res), tmp_path / "mid.ckpt"))
         assert TR.metrics_to_csv(full.metrics[5:]) == TR.metrics_to_csv(resumed.metrics)
         for k, t in model_full.params.items():
             assert t.data.tobytes() == model_res.params[k].data.tobytes(), k
         # the restore wrote into the flat buffers the optimizer steps
-        flat = resumed.flat
+        flat, records = resumed.flat, resumed.records()
         for k, t in model_res.params.items():
             assert np.shares_memory(t.data, model_res.arena.flat), k
-            for records, buf in ((resumed.m, flat.m), (resumed.v, flat.v), (resumed.ema, flat.ema)):
-                assert np.shares_memory(records[k], buf), k
+            for kind, buf in (("adam_m", flat.m), ("adam_v", flat.v), ("ema", flat.ema)):
+                assert np.shares_memory(records[f"{kind}.{k}"], buf), k
 
     def test_one_shard_is_the_serial_step(self, shard_sizes, monkeypatch):
         # a batch whose shards would keep too few pixel tokens runs in one, with weight 1
@@ -755,13 +766,13 @@ class TestShardedTraining:
             state = TR.train(model, dataset, cfg)
             assert all(m["grad_norm"] > cfg.clip_norm for m in state.metrics)
             return (TR.metrics_to_csv(state.metrics),
-                    {key: a.tobytes() for key, a in state_arrays(state).items()})
+                    {key: a.tobytes() for key, a in state.records().items()})
 
         sharded = [run(0.0), run(0.5)]
         assert two_cores == [4, 4] * 8
-        assert any(key.startswith("repa.") for _, key in sharded[1][1])
+        assert any(key.startswith("param.repa.") for key in sharded[1][1])
         monkeypatch.setattr(M.DualLevelModel, "run_shards",
-                            lambda self, fn, parts, wait: [fn(self, *part) for part in parts])
+                            lambda self, fn, parts: [fn(self, *part) for part in parts])
         assert [run(0.0), run(0.5)] == sharded
 
     def test_alignment_runs_shard_and_are_bitwise_reproducible(self, two_cores):
@@ -770,15 +781,15 @@ class TestShardedTraining:
             model, dataset, cfg = crit9_setup(4, align_weight=0.5)
             state = TR.train(model, dataset, cfg)
             runs.append((TR.metrics_to_csv(state.metrics),
-                         {key: a.tobytes() for key, a in state_arrays(state).items()}))
+                         {key: a.tobytes() for key, a in state.records().items()}))
         assert two_cores == [4, 4] * 8  # the worker's rows, then this process's
         assert all(m["loss_repa"] > 0.0 for m in state.metrics)
         assert runs[0] == runs[1]
 
-    def test_every_shards_zero_norm_pairs_reach_the_row(self, two_cores, tmp_path):
+    def test_every_shards_zero_norm_pairs_reach_the_row(self, two_cores, tmp_path, monkeypatch):
+        monkeypatch.setattr(F, "ToyAlignmentEncoder", BlankEncoder)
         model, dataset, cfg = crit9_setup(2, align_weight=0.5)
-        encoder = BlankEncoder(model.config.patch_size, model.config.channels)
-        state = TR.train(model, dataset, cfg, encoder=encoder, metrics_path=tmp_path / "m.csv")
+        state = TR.train(model, dataset, cfg, metrics_path=tmp_path / "m.csv")
         assert two_cores == [4, 4] * 2
         pairs = cfg.batch_size * model.config.num_patches
         assert [m["zero_norm_pairs"] for m in state.metrics] == [pairs] * 2
@@ -804,9 +815,9 @@ class TestShardedTraining:
         model, _, _ = crit9_setup(1)
         before = model.arena.flat.tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            model.run_shards(write_a_parameter, [(False,), (True,)], wait=True)
+            model.run_shards(write_a_parameter, [(False,), (True,)])
         assert model.arena.flat.tobytes() == before
-        assert model.run_shards(write_a_parameter, [(False,), (False,)], wait=True) == [False] * 2
+        assert model.run_shards(write_a_parameter, [(False,), (False,)]) == [False] * 2
 
     def test_a_dead_worker_fails_one_step_and_is_replaced(self, two_cores):
         model, dataset, cfg = crit9_setup(1)
