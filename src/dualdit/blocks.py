@@ -72,10 +72,12 @@ def grid_positions(rows: int, cols: int, repeat: int = 1) -> np.ndarray:
 
 
 def rope_tables(positions: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Axial 2D RoPE (cos, sin), each (T, 1, head_dim // 2), broadcast over heads.
+    """Axial 2D RoPE tables (C, S), each (T, 1, head_dim), broadcast over heads.
 
-    The first half of the rotation pairs turns by angles of the token's row,
-    the second half by angles of its column.
+    Pair i of a head vector (lanes 2i, 2i+1) turns by angle theta_i: C holds
+    cos(theta_i) in both lanes, S holds (-sin(theta_i), sin(theta_i)), as
+    ``tensor._rotate`` takes them. The first half of the pairs turns by
+    angles of the token's row, the second half by angles of its column.
     """
     if head_dim % 4 != 0:
         raise ConfigError(f"2D RoPE needs head_dim divisible by 4, got {head_dim}")
@@ -86,7 +88,10 @@ def rope_tables(positions: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray
     theta = np.concatenate(
         [r_idx[:, None] * freqs[None, :], c_idx[:, None] * freqs[None, :]], axis=1
     )  # (T, head_dim // 2)
-    return np.cos(theta)[:, None, :], np.sin(theta)[:, None, :]
+    cos, sin = np.cos(theta), np.sin(theta)
+    C = np.repeat(cos, 2, axis=1)
+    S = np.stack([-sin, sin], axis=2).reshape(C.shape)
+    return C[:, None, :], S[:, None, :]
 
 
 @dataclass

@@ -22,16 +22,22 @@ from .tensor import Tensor
 
 @dataclass
 class FlowBatch:
-    x0: np.ndarray    # clean images in [-1, 1]
-    eps: np.ndarray   # standard normal noise, same shape
-    t: np.ndarray     # per-sample timestep in (0, 1)
-    x_t: np.ndarray   # interpolant
-    v_t: np.ndarray   # target velocity eps - x0
+    x0: Optional[np.ndarray]   # clean images in [-1, 1]
+    eps: Optional[np.ndarray]  # standard normal noise, same shape
+    t: np.ndarray              # per-sample timestep in (0, 1)
+    x_t: np.ndarray            # interpolant
+    v_t: np.ndarray            # target velocity eps - x0
 
-    def rows(self, start: int, stop: int) -> "FlowBatch":
-        """Samples ``start`` to ``stop`` of the batch."""
-        return FlowBatch(self.x0[start:stop], self.eps[start:stop], self.t[start:stop],
-                         self.x_t[start:stop], self.v_t[start:stop])
+    def rows(self, start: int, stop: int, with_x0: bool = False) -> "FlowBatch":
+        """What a train-step shard reads of samples ``start`` to ``stop``.
+
+        That is ``t``, ``x_t`` and ``v_t``, and ``x0`` (the alignment
+        encoder's input) when ``with_x0``; the other fields are None, so a
+        request to a shard worker pickles no more than it needs.
+        """
+        rows = slice(start, stop)
+        return FlowBatch(self.x0[rows] if with_x0 else None, None, self.t[rows],
+                         self.x_t[rows], self.v_t[rows])
 
 
 def logit_normal_sampler(mean: float = 0.0, std: float = 1.0) -> Callable:

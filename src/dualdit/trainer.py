@@ -202,9 +202,10 @@ def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight
                 shard: int, align: Optional[tuple] = None):
     """One shard of a train step: its (loss_diff, loss_repa, loss, zero_norm_pairs).
 
-    The gradients of ``weight`` times its loss go to the model's gradient
-    buffer ``shard`` (see ``DualLevelModel.shard_grads``), by name. ``weight``
-    is the shard's share of the batch, so that the shards' gradients sum to
+    ``batch`` holds the shard's rows as ``FlowBatch.rows`` cuts them. The
+    gradients of ``weight`` times its loss go to the model's gradient buffer
+    ``shard`` (see ``DualLevelModel.shard_grads``), by name. ``weight`` is
+    the shard's share of the batch, so that the shards' gradients sum to
     those of the batch mean. ``align`` is (encoder, projector, tap,
     align_weight) when the step has the alignment term; a worker computes
     with the copy of the projector that came with the request. A non-finite
@@ -363,6 +364,12 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
         )
     align = None
     if state.projector is not None:
+        width = state.projector.fc2.w.shape[1]
+        if width != cfg.align_feature_dim:
+            raise ConfigError(
+                f"align_feature_dim is {cfg.align_feature_dim} but the train state's alignment "
+                f"projector outputs {width} features; build it with init_state under this config"
+            )
         tap = cfg.align_tap if cfg.align_tap is not None else min(8, mcfg.patch_depth)
         if not 1 <= tap <= mcfg.patch_depth:
             raise ConfigError(
@@ -417,7 +424,8 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
                     # classifier-free guidance: some labels become the null class
                     y = np.where(state.rng.random(len(y)) < cfg.class_drop_prob, mcfg.null_class, y)
                 cuts = shard_cuts(len(y), H * W)
-                parts = [(batch.rows(a, b), y[a:b], (b - a) / len(y), i, align)
+                parts = [(batch.rows(a, b, with_x0=align is not None), y[a:b], (b - a) / len(y),
+                          i, align)
                          for i, (a, b) in enumerate(cuts)]
                 shard_losses = model.run_shards(_loss_shard, parts)
                 for i, key in enumerate(("loss_diff", "loss_repa", "loss")):

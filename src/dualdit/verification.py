@@ -35,6 +35,8 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
     w26 = _rand((2, 6), 102, requires_grad=False)
     w42s = [_rand((4, 2), 106 + 10 * i, requires_grad=False) for i in range(3)]
     rope = B.rope_tables(B.grid_positions(2, 2), 4, np.float64)
+    # three tokens: rows of three scores, whose maximum folds the odd one in
+    rope_odd = B.rope_tables(B.grid_positions(3, 1), 4, np.float64)
 
     def check(fn, shape=(4, 3), seed=1, step=1e-5):
         return lambda: grad_check(fn, _rand(shape, seed), step=step)
@@ -59,6 +61,7 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
     w235 = _rand((2, 3, 5), 107, requires_grad=False)
     w234 = _rand((2, 3, 4), 108, requires_grad=False)
     w148 = _rand((1, 4, 8), 109, requires_grad=False)
+    w138 = _rand((1, 3, 8), 110, requires_grad=False)
 
     return [
         ("add", check(lambda x: (T.add(x, w43) * w43).sum())),
@@ -87,6 +90,9 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
                                  [(1, 4, 8)] * 3, seed=13)),
         ("attention_rope", check_each(lambda q, k, v: (T.attention(q, k, v, 2, rope) * w148).sum(),
                                       [(1, 4, 8)] * 3, seed=16)),
+        ("attention_rope_odd", check_each(
+            lambda q, k, v: (T.attention(q, k, v, 2, rope_odd) * w138).sum(),
+            [(1, 3, 8)] * 3, seed=19)),
     ]
 
 

@@ -52,9 +52,13 @@ class TestGridPositions:
         np.testing.assert_array_equal(B.grid_positions(2, 3, repeat=2), expected)
 
     def test_tables_shape_and_dtype(self):
-        cos, sin = B.rope_tables(B.grid_positions(2, 3, repeat=2), 8, np.float32)
-        assert cos.shape == sin.shape == (12, 1, 4)
-        assert cos.dtype == sin.dtype == np.float32
+        C, S = B.rope_tables(B.grid_positions(2, 3, repeat=2), 8, np.float32)
+        assert C.shape == S.shape == (12, 1, 8)
+        assert C.dtype == S.dtype == np.float32
+        # cos in both lanes of a pair, (-sin, sin) across it
+        np.testing.assert_array_equal(C[..., 0::2], C[..., 1::2])
+        np.testing.assert_array_equal(S[..., 0::2], -S[..., 1::2])
+        np.testing.assert_allclose(C * C + S * S, 1.0, rtol=1e-6)
 
 
 class TestRope2d:

@@ -420,11 +420,11 @@ class TestRopeGeometry:
     def test_pixel_tables_repeat_each_patch_cell(self, k):
         m = toy_model(ptc_rate=k)
         gh, gw = m.config.grid
-        cos, sin = m.pixel_rope
-        want_cos, want_sin = B.rope_tables(B.grid_positions(gh, gw, k), 8, np.float64)
-        np.testing.assert_array_equal(cos, want_cos)
-        np.testing.assert_array_equal(sin, want_sin)
-        assert cos.shape == (gh * gw * k, 1, 4)
+        C, S = m.pixel_rope
+        want_C, want_S = B.rope_tables(B.grid_positions(gh, gw, k), 8, np.float64)
+        np.testing.assert_array_equal(C, want_C)
+        np.testing.assert_array_equal(S, want_S)
+        assert C.shape == (gh * gw * k, 1, 8)
 
     def test_pixel_tables_absent_without_pixel_rope(self):
         assert toy_model(rope_pixel_pathway=False).pixel_rope is None

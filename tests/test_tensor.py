@@ -152,6 +152,60 @@ class TestGradChecks:
         assert grad_check(lambda t: (T.attention(q, t, v, 2, rope) * w).sum(), k) <= 1e-6
 
 
+def interleaved_rotation(x, C, S, inverse=False):
+    """The pair rotation written out lane by lane: (x_e cos - x_o sin, x_e sin + x_o cos)."""
+    cos, sin = C[..., 0::2], S[..., 1::2]
+    if inverse:
+        sin = -sin
+    xe, xo = x[..., 0::2], x[..., 1::2]
+    y = np.empty(x.shape, x.dtype)
+    y[..., 0::2] = xe * cos - xo * sin
+    y[..., 1::2] = xe * sin + xo * cos
+    return y
+
+
+class TestExactRotationAndRowMax:
+    """The attention record's RoPE and softmax row maximum round as the textbook formulas do."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "head_major"])
+    def test_rotation_is_the_interleaved_formula_bit_for_bit(self, dtype, inverse, layout):
+        C, S = B.rope_tables(B.grid_positions(3, 3), 8, dtype)  # 9 tokens
+        x = np.random.default_rng(5).normal(size=(2, 9, 3, 8)).astype(dtype)
+        if layout == "transposed":
+            # the (B, T, heads, head_dim) view of a (B, heads, T, head_dim) array
+            x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
+        elif layout == "head_major":
+            # attention's backward turns (B, heads, T, head_dim) gradients back
+            x, C, S = x.transpose(0, 2, 1, 3).copy(), C[:, 0], S[:, 0]
+        y = T._rotate(x, C, S, inverse=inverse)
+        want = interleaved_rotation(x, C, S, inverse=inverse)
+        assert y.dtype == dtype and y.flags.c_contiguous
+        assert y.tobytes() == want.tobytes()
+
+    def test_inverse_undoes_the_rotation(self):
+        C, S = B.rope_tables(B.grid_positions(3, 3), 8, np.float64)
+        x = np.random.default_rng(6).normal(size=(2, 9, 3, 8))
+        np.testing.assert_allclose(T._rotate(T._rotate(x, C, S), C, S, inverse=True), x,
+                                   rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 9, 16])
+    def test_row_max_is_numpys(self, dtype, n):
+        a = np.random.default_rng(n).normal(size=(2, 3, 5, n)).astype(dtype)
+        a[0, 0, 0] = -np.inf                  # a row of -inf alone
+        a[0, 0, 1, n // 2] = -np.inf
+        a[0, 1, 0, n - 1] = np.nan            # NaN last, where an odd row folds it in
+        a[0, 1, 1, 0] = np.nan
+        a[1, 2, 3, :] = np.nan
+        got = T._rowmax(a)
+        want = a.max(axis=-1, keepdims=True)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)  # NaN where numpy has NaN, and only there
+        assert np.isnan(got[0, 1, :2]).all() and got[0, 0, 0, 0] == -np.inf
+
+
 class TestTapeSemantics:
     def test_shared_subexpression_accumulates(self):
         x = Tensor([3.0], requires_grad=True)

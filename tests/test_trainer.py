@@ -264,6 +264,21 @@ class TestTrainLoop:
             state = TR.train(model, dataset, cfg, state=TR.init_state(model, cfg))
             assert state.step == 2
 
+    def test_a_projector_of_another_width_is_refused(self, tmp_path):
+        # the state's projector maps to 32 features, the config's encoder to 16
+        model, dataset, cfg = tiny_setup(total_steps=2, align=0.5, align_feature_dim=32)
+        state = TR.init_state(model, cfg)
+        before = {key: a.copy() for key, a in state.records().items()}
+        narrow = dataclasses.replace(cfg, align_feature_dim=16)
+        with pytest.raises(ConfigError, match="align_feature_dim is 16 .* outputs 32 features"):
+            TR.train(model, dataset, narrow, state=state, metrics_path=tmp_path / "m.csv",
+                     checkpoint_dir=tmp_path)
+        assert state.step == 0 and state.metrics == []
+        assert_unchanged(state, before)
+        assert list(tmp_path.iterdir()) == []
+        state = TR.train(model, dataset, narrow, state=TR.init_state(model, narrow))
+        assert state.step == 2
+
     def test_a_state_over_a_rebuilt_arena_is_refused(self):
         # a later init_state, with a projector of its own, rebuilt the arena the state steps
         model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
