@@ -40,8 +40,8 @@ def save(path, header: dict[str, Any], arrays: dict[str, np.ndarray]):
     """Write a checkpoint that replaces ``path`` atomically.
 
     The bytes go to ``path + ".tmp"`` in the same directory, reach the disk
-    (fsync), and only then take the place of ``path``; a save that fails
-    removes the temporary file, so an earlier checkpoint at ``path`` survives.
+    (fsync), and only then take the place of ``path`` (``durable_replace``);
+    a save that fails removes the temporary file, so an earlier one survives.
     Records are stored as float32, so any other dtype raises ``ConfigError``
     before the temporary file is opened, rather than losing precision.
     """
@@ -68,11 +68,21 @@ def save(path, header: dict[str, Any], arrays: dict[str, np.ndarray]):
                 f.write(arr.tobytes())
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
+        durable_replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def durable_replace(tmp, path):
+    """``os.replace(tmp, path)``, and an fsync of the directory so that a power loss keeps it."""
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:

@@ -118,6 +118,15 @@ class AlignmentProjector:
         self.fc2 = store.linear("repa.fc2", patch_dim, feature_dim)
         self.params = store.params
 
+    @classmethod
+    def of(cls, params: dict[str, Tensor]) -> "AlignmentProjector":
+        """The projector whose tensors ``params`` holds by name, as a model's arena does."""
+        projector = cls.__new__(cls)
+        projector.params = {name: t for name, t in params.items() if name.startswith("repa.")}
+        projector.fc1, projector.fc2 = (B.LinearParams(params[f"repa.{n}.w"], params[f"repa.{n}.b"])
+                                        for n in ("fc1", "fc2"))
+        return projector
+
     def apply(self, tokens: Tensor) -> Tensor:
         return B.linear(T.silu(B.linear(tokens, self.fc1)), self.fc2)
 

@@ -496,6 +496,16 @@ def _openblas_threads():
     return None
 
 
+@functools.cache
+def keep_heap():
+    """Have glibc keep the heap a train step frees for the next step, not fault it in again."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+        mallopt(-3, 32 << 20)   # M_MMAP_THRESHOLD, its largest value
+        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD, above a B=64 shard's temporaries
+
+
 class _ShardWorker:
     """A forked copy of a model that runs shards of its batches for it.
 
@@ -618,12 +628,6 @@ class Arena:
         """Each tensor's part of ``flat``, by name, in the tensor's shape."""
         return {name: flat[part].reshape(t.shape)
                 for (name, t), part in zip(self.params.items(), self.parts)}
-
-    def gather_grads(self, out: np.ndarray, tensors: dict[str, Tensor]):
-        """Copy the gradient of ``tensors[name]`` into the part of each name; zeros where it has none."""
-        for name, part in zip(self.params, self.parts):
-            grad = tensors[name].grad
-            out[part] = 0 if grad is None else grad.reshape(-1)
 
 
 def config_to_dict(cfg: ModelConfig) -> dict:

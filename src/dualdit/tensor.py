@@ -3,9 +3,8 @@
 Storage is a row-major numpy array (float32 or float64). Operations record
 themselves on the innermost active ``Tape``; ``Tape.backward`` replays the
 records in reverse and *accumulates* into ``.grad`` buffers, which the caller
-zeroes explicitly. Verification helpers (``grad_check``) compare analytic
-gradients against central finite differences and are only meaningful in
-double precision.
+zeroes explicitly, or into arrays it hands over. Verification helpers
+(``grad_check``) compare analytic gradients against central differences.
 """
 
 from __future__ import annotations
@@ -159,14 +158,20 @@ class Tape:
     def __len__(self):
         return len(self.records)
 
-    def backward(self, output: Tensor, seed: Optional[np.ndarray] = None):
-        """Accumulate d(output)/d(leaf) into .grad of every recorded tensor."""
+    def backward(self, output: Tensor, seed: Optional[np.ndarray] = None,
+                 into: Optional[dict[Tensor, np.ndarray]] = None):
+        """Accumulate d(output)/d(leaf) into .grad of every recorded tensor, or into the
+        array ``into`` maps it to: there the first contribution is copied, and none is zeros."""
+        into = into or {}
+        fresh = dict(into)  # the arrays that no contribution has reached yet
         if seed is None:
             if output.size != 1:
                 raise ShapeError(
                     f"backward without a seed requires a scalar output, got shape {tuple(output.shape)}"
                 )
             seed = np.ones_like(output.data)
+        if output in fresh:
+            np.copyto(fresh.pop(output), seed)
         output.accumulate_grad(np.asarray(seed, dtype=output.data.dtype))
         for out, inputs, backward_fn in reversed(self.records):
             multi = isinstance(out, tuple)
@@ -178,11 +183,17 @@ class Tape:
             for inp, gi in zip(inputs, grads):
                 if gi is None or not inp.requires_grad:
                     continue
-                if inp.grad is None and _owned(gi, inp, handed):
+                if inp in fresh:
+                    np.copyto(fresh.pop(inp), gi)
+                elif inp in into:
+                    into[inp] += gi
+                elif inp.grad is None and _owned(gi, inp, handed):
                     inp.grad = gi
                 else:
                     inp.accumulate_grad(gi)
                 handed.append(gi)
+        for buf in fresh.values():
+            buf[...] = 0
 
 
 def _owned(gi: np.ndarray, inp: Tensor, handed: list) -> bool:
@@ -662,22 +673,17 @@ def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, step: float = 1e-5) -> 
     """
     if step <= 0:
         raise ValueError("grad_check requires step > 0")
-    x.zero_grad()
+    analytic = np.empty_like(x.data)
     was = x.requires_grad
     x.requires_grad = True
     try:
         with Tape() as tape:
             out = f(x)
-        tape.backward(out)
+        tape.backward(out, into={x: analytic})
     finally:
         x.requires_grad = was
-    if x.grad is None:
-        analytic = np.zeros_like(x.data)
-    else:
-        analytic = x.grad.copy()
     if not np.all(np.isfinite(analytic)):
         raise NumericError("grad_check: analytic gradient is non-finite")
-    x.zero_grad()
 
     fd = np.zeros_like(x.data)
     flat = x.data.reshape(-1)

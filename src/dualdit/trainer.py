@@ -16,12 +16,14 @@ step is the serial one.
 ``init_state`` builds every train state. With the representation-alignment
 term on, the state holds the alignment projector; its tensors, like every
 other trained tensor, are views of the model's arena, which the shard
-workers read (``DualLevelModel.share``). Gradients arrive in buffers of the
-same layout, and clipping, AdamW and the EMA run once per step as in-place
-elementwise ops over them (``FlatBuffers``) with the bits of per-tensor
-loops. A checkpoint's records are views of those buffers
-(``TrainState.records``), so a save reads them and a resume
-(``restore_state``) writes them in place.
+workers read (``DualLevelModel.share``). Each shard's backward writes its
+gradients into a buffer of the same layout, and clipping, AdamW and the EMA
+run once per step as in-place elementwise ops over them (``FlatBuffers``)
+with the bits of per-tensor loops. A checkpoint's records are views of
+those buffers (``TrainState.records``), so a save reads them and a resume
+(``restore_state``) writes them in place. A shard keeps its heap between
+steps (``model.keep_heap``), so that a step's time does not hinge on when its
+temporaries are freed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import flow as F
 from .errors import ConfigError, InputError, NumericError
-from .model import Arena, DualLevelModel, config_from_dict, config_to_dict, shard_cuts
+from .model import Arena, DualLevelModel, config_from_dict, config_to_dict, keep_heap, shard_cuts
 from .tensor import Tape, Tensor
 
 METRICS_HEADER = "step,loss,loss_diff,loss_repa,grad_norm,lr"
@@ -169,7 +171,8 @@ def clip_gradients(flat: FlatBuffers, max_norm: float) -> float:
 
     The norm adds one float64 sum per tensor, in the arena's order, over the
     squares in ``flat.sq``; a contiguous part sums as the tensor's own array
-    would. Returns the pre-clip norm.
+    would. If it is not finite, ``NumericError`` names the first tensor whose
+    gradient is not (float32 squares cannot overflow it). Returns the pre-clip norm.
     """
     if max_norm <= 0:
         raise ConfigError("max_norm must be positive")
@@ -177,6 +180,9 @@ def clip_gradients(flat: FlatBuffers, max_norm: float) -> float:
     total = 0.0
     for part in flat.arena.parts:
         total += float(squares[part].sum())
+    if not np.isfinite(total):
+        bad = [name for name, g in flat.arena.views(flat.grad).items() if not np.isfinite(g).all()]
+        raise NumericError(f"gradient of {bad[0]} non-finite" if bad else "gradient norm overflows")
     norm = float(np.sqrt(total))
     if norm > max_norm:
         np.multiply(flat.grad, max_norm / norm, out=flat.grad)
@@ -199,39 +205,37 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
 
 
 def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight: float,
-                shard: int, align: Optional[tuple] = None):
+                shard: int, align: Optional[tuple[int, float]] = None):
     """One shard of a train step: its (loss_diff, loss_repa, loss, zero_norm_pairs).
 
     ``batch`` holds the shard's rows as ``FlowBatch.rows`` cuts them. The
-    gradients of ``weight`` times its loss go to the model's gradient buffer
-    ``shard`` (see ``DualLevelModel.shard_grads``), by name. ``weight`` is
-    the shard's share of the batch, so that the shards' gradients sum to
-    those of the batch mean. ``align`` is (encoder, projector, tap,
-    align_weight) when the step has the alignment term; a worker computes
-    with the copy of the projector that came with the request. A non-finite
-    loss leaves the gradients unwritten.
+    backward of ``weight`` times its loss writes straight into the model's
+    gradient buffer ``shard`` (``DualLevelModel.shard_grads``). ``weight``
+    is the shard's share of the batch, so that the shards' gradients sum to
+    those of the batch mean. ``align`` is (tap, align_weight) when the step
+    has the alignment term, computed with the projector in ``model.arena``
+    and an encoder of its width. A non-finite loss leaves the gradients
+    unwritten.
     """
-    tensors = dict(model.arena.params)
-    if align is not None:
-        tensors.update(align[1].params)
-    for t in tensors.values():
-        t.zero_grad()
+    keep_heap()
+    arena = model.arena
     with Tape() as tape:
         patch_outs = [] if align is not None else None
         loss_diff = F.loss_diffusion(model, batch, y, patch_outs=patch_outs)
         loss, loss_repa, zero_pairs = loss_diff, 0.0, 0
         if align is not None:
-            encoder, projector, tap, align_weight = align
+            tap, align_weight = align
+            projector = F.AlignmentProjector.of(arena.params)
+            encoder = F.ToyAlignmentEncoder(model.config.patch_size, model.config.channels,
+                                            feature_dim=projector.fc2.w.shape[1])
             feats = encoder.evaluate(batch.x0).astype(model.dtype)
             loss_align, zero_pairs = F.loss_alignment(patch_outs[tap - 1], feats, projector)
             loss = loss_diff + Tensor(np.asarray(align_weight, model.dtype)) * loss_align
             loss_repa = float(loss_align.data)
     losses = (float(loss_diff.data), loss_repa, float(loss.data), zero_pairs)
     if np.isfinite(losses[2]):
-        tape.backward(loss, seed=weight)
-        model.arena.gather_grads(model.shard_grads(shard + 1)[shard], tensors)
-    for t in tensors.values():
-        t.zero_grad()  # so that no later request pickles the projector's gradients
+        grads = arena.views(model.shard_grads(shard + 1)[shard])
+        tape.backward(loss, seed=weight, into=dict(zip(arena.params.values(), grads.values())))
     return losses
 
 
@@ -335,7 +339,9 @@ def _drop_metrics_from(path, step: int):
         tmp = f"{path}.tmp"
         with open(tmp, "w") as f:
             f.writelines(kept)
-        os.replace(tmp, path)
+            f.flush()
+            os.fsync(f.fileno())
+        ckpt.durable_replace(tmp, path)
 
 
 def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[TrainState] = None,
@@ -346,7 +352,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
     ``state`` comes from ``init_state`` under the same ``align_weight``, and
     through ``restore_state`` to resume; a fresh one is built when none is
     given. The alignment term compares the state's projector with a frozen
-    ``flow.ToyAlignmentEncoder`` built from ``cfg``.
+    ``flow.ToyAlignmentEncoder`` of its output width (``_loss_shard``).
     """
     mcfg = model.config
     if state is None:
@@ -375,9 +381,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
             raise ConfigError(
                 f"align_tap {tap} outside the patch pathway (depth {mcfg.patch_depth})"
             )
-        encoder = F.ToyAlignmentEncoder(mcfg.patch_size, mcfg.channels,
-                                        feature_dim=cfg.align_feature_dim)
-        align = (encoder, state.projector, tap, cfg.align_weight)
+        align = (tap, cfg.align_weight)
     H, W = mcfg.resolution
 
     images = np.asarray(dataset.images)
@@ -438,10 +442,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
                 for shard_grad in grads[1:]:
                     # in shard order, so a run's bits do not depend on timing
                     np.add(grads[0], shard_grad, out=grads[0])
-                if not np.isfinite(grads[0]).all():
-                    name = next(name for name, g in model.arena.views(grads[0]).items()
-                                if not np.isfinite(g).all())
-                    raise NumericError(f"gradient of {name} non-finite")
+                row["grad_norm"] = clip_gradients(state.flat, max_norm)
             except NumericError as exc:
                 bad = exc
             except BaseException:
@@ -460,7 +461,6 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
             else:
                 state.consecutive_bad = 0
                 flat = state.flat
-                row["grad_norm"] = clip_gradients(flat, max_norm)
                 adamw_step(flat.arena.flat, flat.grad, flat.m, flat.v, flat.tmp, state.step + 1,
                            lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
                 ema_update(flat.ema, flat.arena.flat, cfg.ema_decay, flat.tmp)

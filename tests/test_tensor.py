@@ -339,6 +339,60 @@ class TestGradOwnership:
         np.testing.assert_array_equal(b.grad, np.ones((2, 2)))
 
 
+class TestBackwardInto:
+    """Tape.backward(into=...) writes chosen tensors' gradients into arrays the caller owns."""
+
+    @staticmethod
+    def leaves(dtype=np.float32):
+        rng = np.random.default_rng(40)
+        return [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                for shape in ((4, 3), (3, 5), (5,), (2, 2))]
+
+    @staticmethod
+    def loss(x, w, b, unused):
+        h = T.linear(x, w, b)
+        return (T.gelu_tanh(h) * h).sum() + (x * x).mean()  # x takes three contributions
+
+    def test_same_bits_as_grad(self):
+        leaves = self.leaves()
+        with Tape() as tape:
+            out = self.loss(*leaves)
+        tape.backward(out)
+        want = [t.grad for t in leaves]
+        for t in leaves:
+            t.zero_grad()
+        bufs = [np.full(t.shape, 7.0, np.float32) for t in leaves]
+        with Tape() as tape:
+            out = self.loss(*leaves)
+        tape.backward(out, into=dict(zip(leaves, bufs)))
+        for t, buf, g in zip(leaves[:3], bufs, want):
+            assert t.grad is None
+            assert buf.tobytes() == g.tobytes()
+        np.testing.assert_array_equal(bufs[3], 0.0)  # no gradient: zeroed, not left as it was
+        assert want[3] is None
+
+    def test_first_contribution_is_copied_not_added_to_zero(self):
+        # 0.0 + -0.0 is 0.0: an added first contribution would lose the sign
+        x = Tensor(np.ones(3), requires_grad=True)
+        w = Tensor(np.array([-0.0, 2.0, -0.0]))
+        buf = np.full(3, np.nan)
+        with Tape() as tape:
+            out = (x * w).sum()
+        tape.backward(out, into={x: buf})
+        assert buf.tobytes() == np.array([-0.0, 2.0, -0.0]).tobytes()
+
+    def test_later_contributions_add_in_tape_order(self):
+        x = Tensor(np.float32([1.0]), requires_grad=True)
+        ws = [np.float32(v) for v in (1.0, 1e8, -1e8)]
+        with Tape() as tape:
+            out = sum((x * Tensor(w) for w in ws), Tensor(np.float32([0.0])))
+        buf = np.empty(1, np.float32)
+        tape.backward(out, into={x: buf})
+        # the last record's contribution comes first: (-1e8 + 1e8) + 1, where
+        # (1 + 1e8) - 1e8 would round to 0
+        assert buf[0] == 1.0
+
+
 class TestMultiOutputRecords:
     """One record with several outputs: T.split_lastdim and Tape.backward around it."""
 

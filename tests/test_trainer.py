@@ -1,8 +1,10 @@
 """Optimizer oracles, EMA, clipping, loop determinism, checkpoint resume."""
 
+import ctypes
 import dataclasses
 import functools
 import os
+import resource
 import signal
 import struct
 import threading
@@ -655,6 +657,23 @@ def two_cores(shard_sizes, monkeypatch):
     return shard_sizes
 
 
+class TestHeapPolicy:
+    def test_a_shard_keeps_its_heap_between_calls(self):
+        # left to glibc's adaptive thresholds, each call faults about 12K pages in again
+        if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+            pytest.skip("libc has no mallopt")
+        model = DualLevelModel(DESK, seed=11)
+        rng = np.random.default_rng(12)
+        batch = F.make_flow_batch(rng.uniform(-1, 1, (32, 3, 16, 16)).astype(np.float32), rng)
+        y = np.arange(32) % DESK.num_classes
+        for _ in range(3):
+            TR._loss_shard(model, batch, y, 1.0, 0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(10):
+            TR._loss_shard(model, batch, y, 1.0, 0)
+        assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10 < 100
+
+
 class TestShardedTraining:
     def test_sharded_runs_are_bitwise_reproducible(self, two_cores):
         runs = []
@@ -773,9 +792,48 @@ class TestShardedTraining:
         assert two_cores == [4, 4] * 10
         assert model.arena.flat.tobytes() == before.tobytes()
 
+    def test_non_finite_gradient_in_the_caller_skips_the_step(self, two_cores, monkeypatch):
+        caller = os.getpid()
+        real = TR._loss_shard
+
+        @functools.wraps(real)
+        def shard(model, batch, y, weight, shard, align=None):
+            losses = real(model, batch, y, weight, shard, align)
+            if os.getpid() == caller:
+                grads = model.arena.views(model.shard_grads(shard + 1)[shard])
+                grads["pixel_head.b"][0] = np.nan
+                grads["cond_bias"][3] = -np.inf
+            return losses
+
+        monkeypatch.setattr(TR, "_loss_shard", shard)
+        model, dataset, cfg = crit9_setup(30)
+        state = TR.init_state(model, cfg)
+        before = {key: a.copy() for key, a in state.records().items()}
+        with pytest.raises(NumericError, match="10 consecutive") as exc:
+            TR.train(model, dataset, cfg, state=state)
+        assert str(exc.value.__cause__) == "gradient of cond_bias non-finite"
+        assert two_cores == [4, 4] * 10
+        assert [m["grad_norm"] for m in state.metrics] == [0.0] * 9
+        assert all(np.isfinite(m["loss"]) for m in state.metrics)
+        assert_unchanged(state, before)
+
+    def test_an_alignment_request_carries_only_arrays_and_numbers(self, two_cores, monkeypatch):
+        # the projector is the arena's, and the encoder is built where the shard runs
+        parts = []
+        run = M.DualLevelModel.run_shards
+        monkeypatch.setattr(M.DualLevelModel, "run_shards",
+                            lambda self, fn, ps: parts.extend(ps) or run(self, fn, ps))
+        model, dataset, cfg = crit9_setup(1, align_weight=0.5)
+        state = TR.train(model, dataset, cfg)
+        assert two_cores == [4, 4] and state.metrics[0]["loss_repa"] > 0.0
+        for i, (batch, y, weight, shard, align) in enumerate(parts):
+            assert all(type(a) is np.ndarray for a in (batch.x0, batch.t, batch.x_t, batch.v_t, y))
+            assert batch.eps is None and (type(weight), shard) == (float, i)
+            assert align == (1, 0.5) and [type(v) for v in align] == [int, float]
+
     def test_sharded_run_matches_the_shards_run_here(self, two_cores, monkeypatch):
         # clipping and weight decay active, so every optimizer buffer takes part;
-        # with the alignment term, a worker computes with a copy of the projector
+        # with the alignment term, every shard computes with the arena's projector
         def run(align_weight):
             model, dataset, cfg = crit9_setup(4, align_weight, clip_norm=0.01, weight_decay=0.1)
             state = TR.train(model, dataset, cfg)
