@@ -220,6 +220,8 @@ class DualLevelModel:
         self._arena: Optional[Arena] = None
         # shard i of run_shards writes its gradients into buffer i
         self._shard_grads: list[np.ndarray] = []
+        # shared buffers laid out like the arena, by name, made by share_buffers
+        self.buffers: dict[str, np.ndarray] = {}
         # forked copies that run the other shards of run_shards, started by its first call
         self._shard_workers: list[_ShardWorker] = []
 
@@ -357,10 +359,12 @@ class DualLevelModel:
             others = len(parts) - 1
             replied = False
             try:
+                if len(self._shard_grads) < len(parts):
+                    # a worker sees only the mappings made before it is forked, and
+                    # the optimizer tail reads every shard's gradient buffer
+                    self._stop_workers()
+                    self.shard_grads(len(parts))
                 while len(workers) < others:
-                    # the arena and its shard's gradient buffer: a worker sees only
-                    # the mappings made before it is forked
-                    self.shard_grads(len(workers) + 2)
                     workers.append(_ShardWorker(self))
                 # each shard's GEMMs on several BLAS threads would oversubscribe the cores
                 set_threads(1)
@@ -408,6 +412,7 @@ class DualLevelModel:
             return
         self._arena = Arena(want, shared=True)
         self._shard_grads.clear()
+        self.buffers = {}
         self._stop_workers()
 
     def _stop_workers(self):
@@ -424,6 +429,19 @@ class DualLevelModel:
         while len(self._shard_grads) < n:
             self._shard_grads.append(self.arena.like(shared=True))
         return self._shard_grads[:n]
+
+    def share_buffers(self, dtypes: dict[str, Optional[type]]) -> dict[str, np.ndarray]:
+        """Fresh zeroed shared buffers laid out like the arena, one per name, of the given dtype.
+
+        They replace the last ones as ``buffers``, which every shard reads. A
+        worker sees only the mappings made before it is forked, so the
+        workers are stopped, and none writes a stale buffer; the next sharded
+        call forks fresh ones.
+        """
+        self.buffers = {name: self.arena.like(shared=True, dtype=dtype)
+                        for name, dtype in dtypes.items()}
+        self._stop_workers()
+        return self.buffers
 
     def num_params(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -513,7 +531,9 @@ class _ShardWorker:
     times per forward, each hand-over a sleep and a wake of a core, whose
     cost moves with the load on the machine; a process meets its parent
     twice per shard. The copy's parameters are views of the model's arena,
-    so it computes with the caller's current values; it may not write them.
+    so it computes with the caller's current values. It may write them, and
+    the model's ``buffers``, only through ``writable``: the optimizer tail
+    steps its own span of them there.
     """
 
     def __init__(self, model: DualLevelModel):
@@ -559,8 +579,10 @@ class _ShardWorker:
     def _serve(model: DualLevelModel, conn):
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupted parent closes the socket
         _openblas_threads()[1](1)
-        # a shard that wrote a parameter would change it under every process
-        model.arena.flat.flags.writeable = False
+        # a shard that wrote a parameter or an optimizer buffer would change it
+        # under every process
+        for buf in (model.arena.flat, *model.buffers.values()):
+            buf.flags.writeable = False
         for t in model.arena.params.values():
             t.data.flags.writeable = False
         while True:
@@ -579,6 +601,14 @@ class _ShardWorker:
 
 
 _WORKERS: weakref.WeakSet[_ShardWorker] = weakref.WeakSet()
+
+
+def writable(buf: np.ndarray, span: slice) -> np.ndarray:
+    """``buf[span]`` as a view that may be written, also where ``buf`` is a worker's read-only
+    view of a shared buffer: how a shard writes the arena's span it owns."""
+    view = buf[span]
+    view.flags.writeable = True
+    return view
 
 
 def _stop_worker(conn, pid: int):

@@ -17,12 +17,20 @@ step is the serial one.
 term on, the state holds the alignment projector; its tensors, like every
 other trained tensor, are views of the model's arena, which the shard
 workers read (``DualLevelModel.share``). Each shard's backward writes its
-gradients into a buffer of the same layout, and clipping, AdamW and the EMA
-run once per step as in-place elementwise ops over them (``FlatBuffers``)
-with the bits of per-tensor loops. A checkpoint's records are views of
-those buffers (``TrainState.records``), so a save reads them and a resume
-(``restore_state``) writes them in place. A shard keeps its heap between
-steps (``model.keep_heap``), so that a step's time does not hinge on when its
+gradients into a buffer of the same layout. Before it steps a state,
+``train`` moves the state's optimizer buffers (``FlatBuffers``) into shared
+mappings of that layout on the model (``DualLevelModel.share_buffers``).
+The step's tail runs over blocks of whole tensors (``tail_blocks``), each
+process of the step over its own span of them (``tail_spans``), in two
+phases: A sums the shards' gradients in shard order and returns each
+tensor's sum of squares; the caller adds those in the arena's order to the
+clip norm; B clips, then applies AdamW and the EMA in place. The elementwise ops round as per-tensor loops do, so
+the bits do not depend on the blocks or the spans. A step whose phase B
+fails leaves the state half-updated (``TrainState.torn``), and only
+``restore_state`` makes it train again. A checkpoint's records are views
+of those buffers (``TrainState.records``), so a save reads them and a
+resume writes them in place. A shard keeps its heap between steps
+(``model.keep_heap``), so that a step's time does not hinge on when its
 temporaries are freed.
 """
 
@@ -38,7 +46,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import flow as F
 from .errors import ConfigError, InputError, NumericError
-from .model import Arena, DualLevelModel, config_from_dict, config_to_dict, keep_heap, shard_cuts
+from .model import (Arena, DualLevelModel, config_from_dict, config_to_dict, keep_heap,
+                    shard_cuts, writable)
 from .tensor import Tape, Tensor
 
 METRICS_HEADER = "step,loss,loss_diff,loss_repa,grad_norm,lr"
@@ -109,6 +118,12 @@ class FlatBuffers:
     sq: np.ndarray
     tmp: np.ndarray
 
+    @classmethod
+    def of(cls, model: DualLevelModel) -> FlatBuffers:
+        """The buffers ``train`` shared on ``model`` for the last state it stepped, as this
+        process sees them."""
+        return cls(model.arena, model.shard_grads(1)[0], **model.buffers)
+
 
 @dataclass
 class TrainState:
@@ -119,6 +134,7 @@ class TrainState:
     skipped_steps: int = 0
     consecutive_bad: int = 0
     metrics: list[dict] = field(default_factory=list)
+    torn: bool = False  # a step's update failed part way; only restore_state mends it
 
     def records(self) -> dict[str, np.ndarray]:
         """The checkpoint records by name ("param.", "adam_m.", "adam_v.", "ema." + tensor):
@@ -166,33 +182,126 @@ def adamw_step(p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray, tmp: 
         np.subtract(p, tmp, out=p)
 
 
-def clip_gradients(flat: FlatBuffers, max_norm: float) -> float:
-    """Scale the gradients by max_norm/norm when their global L2 norm exceeds it.
-
-    The norm adds one float64 sum per tensor, in the arena's order, over the
-    squares in ``flat.sq``; a contiguous part sums as the tensor's own array
-    would. If it is not finite, ``NumericError`` names the first tensor whose
-    gradient is not (float32 squares cannot overflow it). Returns the pre-clip norm.
-    """
-    if max_norm <= 0:
-        raise ConfigError("max_norm must be positive")
-    squares = np.square(flat.grad, out=flat.sq, dtype=np.float64)
-    total = 0.0
-    for part in flat.arena.parts:
-        total += float(squares[part].sum())
-    if not np.isfinite(total):
-        bad = [name for name, g in flat.arena.views(flat.grad).items() if not np.isfinite(g).all()]
-        raise NumericError(f"gradient of {bad[0]} non-finite" if bad else "gradient norm overflows")
-    norm = float(np.sqrt(total))
-    if norm > max_norm:
-        np.multiply(flat.grad, max_norm / norm, out=flat.grad)
-    return norm
-
-
 def ema_update(ema: np.ndarray, p: np.ndarray, decay: float, tmp: np.ndarray):
     np.multiply(p, 1.0 - decay, out=tmp)  # ema = decay * ema + (1 - decay) * p
     np.multiply(ema, decay, out=ema)
     np.add(ema, tmp, out=ema)
+
+
+# Elements a block of the optimizer tail holds at least. A block's slices of
+# the buffers that phase B passes over (gradient, parameters, both moments,
+# EMA, scratch: 768 KB at 32K float32 elements) stay in a core's 2 MB L2
+# through its 17 passes; whole buffers would go out to memory on each, and
+# smaller blocks pay more numpy calls. Desk train step on a 2-core Xeon,
+# median ms from the end of the loss shards to the end of the step, 2 cores
+# (150 steps) / 1 core (100 steps): 16K 1.30/1.87, 32K 1.26/1.77, 64K
+# 1.36/1.65, 128K 1.21/1.74, one block (no split) 2.44/2.20. From 32K to
+# 128K the differences are within the noise of repeated runs.
+_TAIL_BLOCK = 32768
+
+Block = tuple[slice, list[slice]]  # a block's elements, and the arena parts among them
+
+
+def tail_blocks(arena: Arena) -> list[Block]:
+    """The arena's parts in order, grouped into blocks of at least ``_TAIL_BLOCK`` elements.
+
+    A block runs from its first part's start to the next block's, so the
+    blocks cover every element once, alignment gaps included; only the last
+    may hold fewer. A part is never split, so its sum of squares is the one
+    a whole-tensor sum rounds to.
+    """
+    blocks, parts, start = [], [], 0
+    for i, part in enumerate(arena.parts):
+        parts.append(part)
+        stop = arena.parts[i + 1].start if i + 1 < len(arena.parts) else arena.flat.size
+        if stop - start >= _TAIL_BLOCK or i + 1 == len(arena.parts):
+            blocks.append((slice(start, stop), parts))
+            parts, start = [], stop
+    return blocks
+
+
+def tail_spans(blocks: list[Block], n: int) -> list[list[Block]]:
+    """``blocks`` cut into at most ``n`` contiguous, non-empty spans of about equal size.
+
+    Span i takes the blocks that start in the i-th of ``n`` equal element
+    ranges, so a block across a cut goes to the earlier span: the caller's
+    span starts first, a worker's after the request reaches it. A span
+    left empty is dropped.
+    """
+    size = blocks[-1][0].stop
+    spans = [[] for _ in range(n)]
+    for block in blocks:
+        spans[block[0].start * n // size].append(block)
+    return [span for span in spans if span]
+
+
+def sum_squares(flat: FlatBuffers, others: list[np.ndarray], blocks: list[Block]) -> list[float]:
+    """Phase A of the tail over ``blocks``: each part's float64 sum of squared gradients.
+
+    Adds the other shards' gradient buffers into ``flat.grad`` first, in
+    shard order, so that a run's bits do not depend on timing.
+    """
+    sums = []
+    for span, parts in blocks:
+        g = writable(flat.grad, span)
+        for other in others:
+            np.add(g, other[span], out=g)
+        np.square(g, out=writable(flat.sq, span), dtype=np.float64)
+        sums += [float(flat.sq[part].sum()) for part in parts]
+    return sums
+
+
+def clip_scale(flat: FlatBuffers, sums: list[float],
+               max_norm: float) -> tuple[float, Optional[float]]:
+    """The gradients' global L2 norm from phase A's sums, and the scale phase B clips them by.
+
+    The sums, one per tensor, add in the arena's order. If the norm is not
+    finite, ``NumericError`` names the first tensor whose gradient is not
+    (float32 squares cannot overflow a float64 sum). The scale is
+    max_norm/norm when the norm exceeds max_norm, else None.
+    """
+    total = 0.0
+    for part_sum in sums:  # not sum(), which compensates the rounding since Python 3.12
+        total += part_sum
+    if not np.isfinite(total):
+        bad = [name for name, g in flat.arena.views(flat.grad).items() if not np.isfinite(g).all()]
+        raise NumericError(f"gradient of {bad[0]} non-finite" if bad else "gradient norm overflows")
+    norm = float(np.sqrt(total))
+    return norm, (max_norm / norm if norm > max_norm else None)
+
+
+def step_blocks(flat: FlatBuffers, blocks: list[Block], scale: Optional[float], step: int,
+                lr: float, cfg: TrainConfig):
+    """Phase B of the tail over ``blocks``: clip by ``scale``, then AdamW and the EMA, in place."""
+    for span, _ in blocks:
+        p, g, m, v, ema, tmp = (writable(buf, span) for buf in (
+            flat.arena.flat, flat.grad, flat.m, flat.v, flat.ema, flat.tmp))
+        if scale is not None:
+            np.multiply(g, scale, out=g)
+        adamw_step(p, g, m, v, tmp, step, lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
+        ema_update(ema, p, cfg.ema_decay, tmp)
+
+
+def _share(model: DualLevelModel, flat: FlatBuffers) -> FlatBuffers:
+    """``flat``'s values in fresh buffers shared on ``model``, which every process of the tail
+    steps; the workers forked before are stopped (``DualLevelModel.share_buffers``)."""
+    model.share_buffers({"m": None, "v": None, "ema": None, "sq": np.float64, "tmp": None})
+    shared = FlatBuffers.of(model)
+    for name in ("m", "v", "ema"):
+        # a zero buffer is left to the new mapping, whose pages then cost nothing until stepped
+        if getattr(flat, name).any():
+            getattr(shared, name)[...] = getattr(flat, name)
+    return shared
+
+
+def _sum_span(model: DualLevelModel, blocks: list[Block], shards: int) -> list[float]:
+    """``sum_squares`` over the model's buffers and its ``shards`` gradient buffers."""
+    return sum_squares(FlatBuffers.of(model), model.shard_grads(shards)[1:], blocks)
+
+
+def _step_span(model: DualLevelModel, blocks: list[Block], *args):
+    """``step_blocks`` over the model's buffers."""
+    step_blocks(FlatBuffers.of(model), blocks, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +369,16 @@ def init_state(model: DualLevelModel, cfg: TrainConfig) -> TrainState:
                       projector=projector)
 
 
+def _refuse_torn(state: TrainState):
+    if state.torn:
+        raise ConfigError(
+            "the train state was left half-updated by a failed step; load a checkpoint into it "
+            "with restore_state"
+        )
+
+
 def save_checkpoint(path, model: DualLevelModel, state: TrainState):
+    _refuse_torn(state)
     header = {
         "kind": "train_state",
         "model_config": config_to_dict(model.config),
@@ -312,6 +430,7 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
         view[...] = checked[name]
     state.step, state.skipped_steps, state.consecutive_bad = counters.values()
     state.rng = rng
+    state.torn = False
     return state
 
 
@@ -362,6 +481,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
             "the train state's flat buffers no longer back the model's tensors: a later "
             "init_state rebuilt the model's arena; build the state again"
         )
+    _refuse_torn(state)
     if (state.projector is not None) != (cfg.align_weight > 0.0):
         raise ConfigError(
             f"align_weight is {cfg.align_weight} but the train state was built "
@@ -383,6 +503,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
             )
         align = (tap, cfg.align_weight)
     H, W = mcfg.resolution
+    blocks = tail_blocks(model.arena)
 
     images = np.asarray(dataset.images)
     labels = np.asarray(dataset.labels)
@@ -394,6 +515,8 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
     if np.any(labels < 0) or np.any(labels > mcfg.null_class):
         raise InputError(f"dataset labels must lie in [0, {mcfg.null_class}], got {np.unique(labels)}")
     t_sampler = F.logit_normal_sampler(cfg.logit_normal_mean, cfg.logit_normal_std)
+    if state.flat.m is not model.buffers.get("m"):
+        state.flat = _share(model, state.flat)
 
     metrics_file = None
     if metrics_path is not None:
@@ -438,11 +561,9 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
                 row["zero_norm_pairs"] = sum(losses[3] for losses in shard_losses)
                 if not all(np.isfinite(losses[2]) for losses in shard_losses):
                     raise NumericError("loss non-finite")
-                grads = model.shard_grads(len(parts))
-                for shard_grad in grads[1:]:
-                    # in shard order, so a run's bits do not depend on timing
-                    np.add(grads[0], shard_grad, out=grads[0])
-                row["grad_norm"] = clip_gradients(state.flat, max_norm)
+                spans = tail_spans(blocks, len(parts))
+                sums = model.run_shards(_sum_span, [(span, len(parts)) for span in spans])
+                row["grad_norm"], scale = clip_scale(state.flat, sum(sums, []), max_norm)
             except NumericError as exc:
                 bad = exc
             except BaseException:
@@ -460,10 +581,10 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
                     ) from bad
             else:
                 state.consecutive_bad = 0
-                flat = state.flat
-                adamw_step(flat.arena.flat, flat.grad, flat.m, flat.v, flat.tmp, state.step + 1,
-                           lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
-                ema_update(flat.ema, flat.arena.flat, cfg.ema_decay, flat.tmp)
+                state.torn = True  # until every span has stepped
+                model.run_shards(_step_span, [(span, scale, state.step + 1, lr, cfg)
+                                              for span in spans])
+                state.torn = False
 
             state.metrics.append(row)
             if metrics_file is not None:

@@ -25,9 +25,11 @@ def shard_sizes(monkeypatch):
         return forward(self, x, *args, **kwargs)
 
     def counted_submit(self, fn, part):
-        # a sampling shard starts with its noise, a train step's with its FlowBatch
-        rows = part[0] if isinstance(part[0], np.ndarray) else part[0].x_t
-        sizes.append(rows.shape[0])
+        # a sampling shard starts with its noise, a train step's with its FlowBatch;
+        # a span of the optimizer tail holds no rows
+        rows = part[0] if isinstance(part[0], np.ndarray) else getattr(part[0], "x_t", None)
+        if rows is not None:
+            sizes.append(rows.shape[0])
         return submit(self, fn, part)
 
     monkeypatch.setattr(M.DualLevelModel, "forward", counted)

@@ -85,16 +85,36 @@ def grads_of(flat: TR.FlatBuffers) -> dict:
     return {k: g.copy() for k, g in flat.arena.views(flat.grad).items()}
 
 
+def tail(flat: TR.FlatBuffers, max_norm: float, others=(), shards: int = 1, **kw) -> float:
+    """The optimizer tail over ``flat`` as ``train`` runs it, each span in turn in this process:
+    its pre-clip norm. ``kw`` overrides AdamW's step and learning rate and the config's fields."""
+    spans = TR.tail_spans(TR.tail_blocks(flat.arena), shards)
+    sums = [s for span in spans for s in TR.sum_squares(flat, list(others), span)]
+    norm, scale = TR.clip_scale(flat, sums, max_norm)
+    step, lr = kw.pop("step", 1), kw.pop("lr", 1e-3)
+    for span in spans:
+        TR.step_blocks(flat, span, scale, step, lr, TR.TrainConfig(**kw))
+    return norm
+
+
 class TestClipping:
+    """The first step's first moment is (1 - b1) times the clipped gradient."""
+
+    def clipped(self, flat):
+        return np.concatenate([m.ravel() for m in flat.arena.views(flat.m).values()]) / 0.1
+
     def test_identity_below_max(self):
         flat = flat_buffers({"a": np.array([0.3, 0.4])})
-        assert TR.clip_gradients(flat, 1.0) == pytest.approx(0.5)
+        sums = TR.sum_squares(flat, [], TR.tail_blocks(flat.arena))
+        assert TR.clip_scale(flat, sums, 1.0) == (pytest.approx(0.5), None)
         np.testing.assert_array_equal(grads_of(flat)["a"], [0.3, 0.4])
+        assert tail(flat, 1.0) == pytest.approx(0.5)
+        np.testing.assert_allclose(self.clipped(flat), [0.3, 0.4], rtol=1e-12)
 
     def test_scales_to_max_norm(self):
         flat = flat_buffers({"a": np.array([6.0]), "b": np.array([8.0])})
-        assert TR.clip_gradients(flat, 1.0) == pytest.approx(10.0)
-        assert np.linalg.norm(list(grads_of(flat).values())) == pytest.approx(1.0, abs=1e-9)
+        assert tail(flat, 1.0) == pytest.approx(10.0)
+        assert np.linalg.norm(self.clipped(flat)) == pytest.approx(1.0, abs=1e-9)
 
     def test_equals_flattened_concatenation_oracle(self):
         rng = np.random.default_rng(0)
@@ -103,9 +123,8 @@ class TestClipping:
         max_norm = 0.5
         expected = flat * (max_norm / np.linalg.norm(flat))
         flat = flat_buffers(grads)
-        TR.clip_gradients(flat, max_norm)
-        np.testing.assert_allclose(
-            np.concatenate([g.ravel() for g in grads_of(flat).values()]), expected, rtol=1e-12)
+        tail(flat, max_norm)
+        np.testing.assert_allclose(self.clipped(flat), expected, rtol=1e-12)
 
 
 class TestEma:
@@ -150,28 +169,63 @@ def loop_tail(params, grads, m, v, ema, step, lr, betas, weight_decay, eps, deca
 
 
 class TestFlatTail:
-    def test_matches_the_per_tensor_loop_bitwise(self):
+    @pytest.mark.parametrize("block, shards", [(32768, 1), (8, 1), (8, 3)])
+    def test_matches_the_per_tensor_loop_bitwise(self, monkeypatch, block, shards):
         # float32 as trained, a clipped norm, decay on, a zero of each sign, one arena
-        # over a model's and a projector's tensors
+        # over a model's and a projector's tensors; whole or small blocks, one span or
+        # three stepped in turn, and each gradient the sum of three shards' buffers
+        monkeypatch.setattr(TR, "_TAIL_BLOCK", block)
         rng = np.random.default_rng(4)
         shapes = {"w": (5, 3), "b": (3,), "repa.w": (7, 2), "repa.b": (1,)}
         flat = flat_buffers({k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()})
-        flat.arena.views(flat.grad)["w"][0, :2] = [0.0, -0.0]
-        for buf in (flat.arena.flat, flat.m, flat.v, flat.ema):
+        others = [flat.arena.like(), flat.arena.like()]
+        gaps = np.setdiff1d(np.arange(flat.grad.size), np.r_[tuple(flat.arena.parts)])
+        for buf in (flat.arena.flat, flat.grad, flat.m, flat.v, flat.ema, *others):
             buf[...] = rng.normal(size=buf.size).astype(np.float32)
+            buf[gaps] = 0.0  # as in the arena's alignment gaps
+        for buf in (flat.grad, *others):
+            flat.arena.views(buf)["w"][0, :2] = [0.0, -0.0]
         flat.v[...] = np.abs(flat.v)
+        shard_grads = [flat.arena.views(buf) for buf in (flat.grad, *others)]
         ref = {kind: {k: a.copy() for k, a in flat.arena.views(buf).items()}
-               for kind, buf in (("p", flat.arena.flat), ("g", flat.grad), ("m", flat.m),
-                                 ("v", flat.v), ("ema", flat.ema))}
+               for kind, buf in (("p", flat.arena.flat), ("m", flat.m), ("v", flat.v),
+                                 ("ema", flat.ema))}
+        ref["g"] = {k: (shard_grads[0][k] + shard_grads[1][k]) + shard_grads[2][k]
+                    for k in shapes}
         kw = dict(step=3, lr=1e-2, betas=(0.9, 0.999), weight_decay=0.05, eps=1e-8)
         want = loop_tail(ref["p"], ref["g"], ref["m"], ref["v"], ref["ema"],
                          decay=0.99, max_norm=0.5, **kw)
-        assert TR.clip_gradients(flat, 0.5) == want
-        TR.adamw_step(flat.arena.flat, flat.grad, flat.m, flat.v, flat.tmp, **kw)
-        TR.ema_update(flat.ema, flat.arena.flat, 0.99, flat.tmp)
+        assert want > 0.5
+        kw["adam_eps"] = kw.pop("eps")
+        assert tail(flat, 0.5, others, shards, ema_decay=0.99, **kw) == want
         for kind, buf in (("p", flat.arena.flat), ("m", flat.m), ("v", flat.v), ("ema", flat.ema)):
             for k, a in flat.arena.views(buf).items():
                 assert a.tobytes() == ref[kind][k].tobytes(), (kind, k)
+        assert not flat.arena.flat[gaps].any()
+
+
+class TestTailPartition:
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=30),
+           block=st.integers(1, 20000), shards=st.integers(1, 4))
+    def test_blocks_tile_the_arena_and_spans_split_them(self, monkeypatch, sizes, block, shards):
+        monkeypatch.setattr(TR, "_TAIL_BLOCK", block)
+        arena = M.Arena({f"t{i}": Tensor(np.zeros(n, np.float32)) for i, n in enumerate(sizes)})
+        blocks = TR.tail_blocks(arena)
+        starts = [part.start for part in arena.parts]
+        # from 0 to the arena's end, gaps included, each element in one block
+        assert blocks[0][0].start == 0 and blocks[-1][0].stop == arena.flat.size
+        for (span, _), (after, _) in zip(blocks, blocks[1:]):
+            assert span.stop == after.start
+        for i, (span, parts) in enumerate(blocks):
+            assert span.stop > span.start
+            assert span.start in starts and (span.stop in starts or span.stop == arena.flat.size)
+            assert parts == [part for part in arena.parts if span.start <= part.start < span.stop]
+            assert i + 1 == len(blocks) or span.stop - span.start >= block
+        spans = TR.tail_spans(blocks, shards)
+        assert 1 <= len(spans) <= shards and all(spans)
+        assert [b for span in spans for b in span] == blocks  # contiguous, disjoint, in order
 
 
 class TestTrainConfig:
@@ -610,14 +664,14 @@ DESK = M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64, pixel_dim=8, he
                      patch_size=4, num_classes=3, resolution=(16, 16), channels=3)
 
 
-CLIP = TR.clip_gradients
+CLIP = TR.clip_scale
 
 
 def spy_gradients(monkeypatch) -> dict:
     """A dict that each train step fills with copies of its summed, pre-clip gradients."""
     seen = {}
-    monkeypatch.setattr(TR, "clip_gradients", lambda flat, norm: seen.update(
-        grads_of(flat)) or CLIP(flat, norm))
+    monkeypatch.setattr(TR, "clip_scale", lambda flat, sums, norm: seen.update(
+        grads_of(flat)) or CLIP(flat, sums, norm))
     return seen
 
 
@@ -633,6 +687,31 @@ def write_a_parameter(model, write: bool):
     if write:
         model.params["pixel_head.b"].data[...] = 1.0
     return write
+
+
+def write_a_moment(model, write: bool):
+    """A shard that writes AdamW's first moment when ``write`` is set."""
+    if write:
+        model.buffers["m"][:4] = 1.0
+    return write
+
+
+def fail_once(monkeypatch, name: str, marker, in_worker: bool, call: int):
+    """Make the ``call``-th call of tail span ``name`` in a worker (or in this process) fail,
+    once in the test: a worker exits, as a killed one would; this process raises."""
+    caller, real, calls = os.getpid(), getattr(TR, name), []
+
+    @functools.wraps(real)  # reaches the worker by the real one's name
+    def span(model, *args):
+        calls.append(args)
+        if (os.getpid() != caller) == in_worker and len(calls) == call and not marker.exists():
+            marker.touch()
+            if in_worker:
+                os._exit(1)
+            raise RuntimeError("tail span failed")
+        return real(model, *args)
+
+    monkeypatch.setattr(TR, name, span)
 
 
 def desk_step_grads(monkeypatch):
@@ -652,8 +731,10 @@ def desk_step_grads(monkeypatch):
 
 @pytest.fixture
 def two_cores(shard_sizes, monkeypatch):
-    """Two usable cores and no floor on the shard size, so the tiny recipe shards."""
+    """Two usable cores and no floor on the shard size, so the tiny recipe shards, and tail
+    blocks small enough that every process of a step steps a span of its arena."""
     monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 1)
+    monkeypatch.setattr(TR, "_TAIL_BLOCK", 256)
     return shard_sizes
 
 
@@ -723,11 +804,21 @@ class TestShardedTraining:
         # three shards, since a sum of two rounds the same either way round
         monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         seen = spy_gradients(monkeypatch)
-        model, dataset, cfg = crit9_setup(1, class_drop_prob=0.0)
+
+        def setup():
+            model, dataset, cfg = crit9_setup(1, class_drop_prob=0.0)
+            rng = np.random.default_rng(5)
+            # zero-initialized gates and heads would leave many gradients at zero
+            for t in model.params.values():
+                t.data += rng.normal(scale=0.02, size=t.shape).astype(np.float32)
+            return model, dataset, cfg
+
+        model, dataset, cfg = setup()
         TR.train(model, dataset, cfg)
-        assert two_cores == [3, 3, 2]
+        assert two_cores == [3, 3, 2] and seen.keys() == model.arena.params.keys()
+        assert all(g.any() for g in seen.values())
         # the same step by hand, from the same start and the same draws
-        model, dataset, cfg = crit9_setup(1, class_drop_prob=0.0)
+        model, dataset, cfg = setup()
         idx = TR._epoch_permutation(cfg.seed, 0, len(dataset.labels))[:cfg.batch_size]
         rng = np.random.default_rng(np.random.PCG64(cfg.seed))
         batch = F.make_flow_batch(dataset.images[idx], rng, F.logit_normal_sampler())
@@ -821,8 +912,8 @@ class TestShardedTraining:
         # the projector is the arena's, and the encoder is built where the shard runs
         parts = []
         run = M.DualLevelModel.run_shards
-        monkeypatch.setattr(M.DualLevelModel, "run_shards",
-                            lambda self, fn, ps: parts.extend(ps) or run(self, fn, ps))
+        monkeypatch.setattr(M.DualLevelModel, "run_shards", lambda self, fn, ps: (
+            fn is TR._loss_shard and parts.extend(ps)) or run(self, fn, ps))
         model, dataset, cfg = crit9_setup(1, align_weight=0.5)
         state = TR.train(model, dataset, cfg)
         assert two_cores == [4, 4] and state.metrics[0]["loss_repa"] > 0.0
@@ -891,6 +982,77 @@ class TestShardedTraining:
             model.run_shards(write_a_parameter, [(False,), (True,)])
         assert model.arena.flat.tobytes() == before
         assert model.run_shards(write_a_parameter, [(False,), (False,)]) == [False] * 2
+
+    def test_a_worker_cannot_write_the_optimizer_buffers(self):
+        if M._openblas_threads() is None:
+            pytest.skip("sharding needs OpenBLAS's thread-count setter")
+        model, dataset, cfg = crit9_setup(1)
+        state = TR.train(model, dataset, cfg)  # which shares the state's buffers on the model
+        before = {key: a.copy() for key, a in state.records().items()}
+        with pytest.raises(ValueError, match="read-only"):
+            model.run_shards(write_a_moment, [(False,), (True,)])
+        assert_unchanged(state, before)
+
+    @pytest.mark.parametrize("in_worker", [True, False])
+    def test_a_step_that_fails_in_phase_b_is_refused_until_restored(self, two_cores, tmp_path,
+                                                                    monkeypatch, in_worker):
+        # the other processes step their spans, so the state is half-updated
+        def run(model, dataset, cfg, state, name):
+            (tmp_path / name).mkdir(exist_ok=True)
+            TR.train(model, dataset, cfg, state=state, checkpoint_dir=tmp_path / name,
+                     metrics_path=tmp_path / f"{name}.csv")
+
+        model, dataset, cfg = crit9_setup(6, checkpoint_every=2)
+        run(model, dataset, cfg, TR.init_state(model, cfg), "full")
+        model, dataset, cfg = crit9_setup(6, checkpoint_every=2)
+        state = TR.init_state(model, cfg)
+        fail_once(monkeypatch, "_step_span", tmp_path / "failed", in_worker, call=5)
+        with pytest.raises(RuntimeError, match="exited" if in_worker else "tail span failed"):
+            run(model, dataset, cfg, state, "cut")
+        assert state.torn and state.step == 4 and two_cores == [4, 4] * 11
+        last = tmp_path / "cut" / "step00000004.ckpt"
+        assert model.arena.flat.tobytes() != TR.load_model(last, use_ema=False).arena.flat.tobytes()
+        for refused in (lambda: TR.train(model, dataset, cfg, state=state),
+                        lambda: TR.save_checkpoint(tmp_path / "torn.ckpt", model, state)):
+            with pytest.raises(ConfigError, match="restore_state"):
+                refused()
+        assert not (tmp_path / "torn.ckpt").exists()
+        TR.restore_state(model, state, last)
+        run(model, dataset, cfg, state, "cut")
+        assert (tmp_path / "cut.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
+        cut, full = (tmp_path / name / "final.ckpt" for name in ("cut", "full"))
+        assert cut.read_bytes() == full.read_bytes()
+
+    def test_a_step_that_fails_in_phase_a_is_redone_with_the_same_draws(self, two_cores, tmp_path,
+                                                                        monkeypatch):
+        model_full, dataset, cfg = crit9_setup(4)
+        full = TR.train(model_full, dataset, cfg)
+        model, _, cfg = crit9_setup(4)
+        state = TR.init_state(model, cfg)
+        fail_once(monkeypatch, "_sum_span", tmp_path / "failed", in_worker=True, call=3)
+        with pytest.raises(RuntimeError, match="exited"):
+            TR.train(model, dataset, cfg, state=state)
+        assert state.step == 2 and not state.torn
+        TR.train(model, dataset, cfg, state=state)
+        assert TR.metrics_to_csv(state.metrics) == TR.metrics_to_csv(full.metrics)
+        for key, a in full.records().items():
+            assert a.tobytes() == state.records()[key].tobytes(), key
+
+    def test_a_second_init_state_trains_like_a_fresh_model(self, two_cores):
+        # the worker forked over the first state's buffers must not step the second's
+        model, dataset, cfg = crit9_setup(3)
+        TR.train(model, dataset, cfg)
+        [worker] = model._shard_workers
+        start = model.arena.flat.copy()
+        state = TR.train(model, dataset, cfg, state=TR.init_state(model, cfg))
+        assert model._shard_workers[0].pid != worker.pid
+        fresh, _, _ = crit9_setup(3)
+        fresh.arena.flat[...] = start
+        want = TR.train(fresh, dataset, cfg, state=TR.init_state(fresh, cfg))
+        assert two_cores == [4, 4] * 9
+        assert TR.metrics_to_csv(state.metrics) == TR.metrics_to_csv(want.metrics)
+        for key, a in want.records().items():
+            assert a.tobytes() == state.records()[key].tobytes(), key
 
     def test_a_dead_worker_fails_one_step_and_is_replaced(self, two_cores):
         model, dataset, cfg = crit9_setup(1)

@@ -10,8 +10,10 @@ It hashes:
   seeded parameters with noise added, so that no branch is silenced by its
   zero-initialised gate;
 - for 20 desk train steps (B=64, lr 1e-3, class drop 0.1, a checkpoint
-  every 10 steps), once without and once with the alignment term, the
-  metrics CSV and every checkpoint file.
+  every 10 steps), the metrics CSV and every checkpoint file: once without
+  and once with the alignment term, and once without it under clip norm
+  0.1 and weight decay 0.05, so that every step clips and decays (without
+  the term the gradients' norms lie near 0.25, under the default clip 1.0).
 
 Two runs print the same lines exactly when every hashed byte is the same.
 The train steps shard over the usable cores, and their bits depend on the
@@ -62,16 +64,19 @@ def main(argv=None) -> int:
     spec = D.ToyDatasetSpec(kind="solid_color", num_classes=3, resolution=(16, 16),
                             samples_per_class=256, noise_std=0.1, seed=14)
     dataset = D.make_dataset(spec)
-    for align in (0.0, 0.5):
+    runs = {"align 0.0": dict(align_weight=0.0), "align 0.5": dict(align_weight=0.5),
+            "align 0.0 clip 0.1 decay 0.05": dict(align_weight=0.0, clip_norm=0.1,
+                                                  weight_decay=0.05)}
+    for run, kw in runs.items():
         model = M.DualLevelModel(desk, seed=15)
-        tcfg = TR.TrainConfig(lr=1e-3, batch_size=64, total_steps=20, align_weight=align,
-                              class_drop_prob=0.1, checkpoint_every=10, seed=16)
+        tcfg = TR.TrainConfig(lr=1e-3, batch_size=64, total_steps=20, class_drop_prob=0.1,
+                              checkpoint_every=10, seed=16, **kw)
         with tempfile.TemporaryDirectory() as out:
             TR.train(model, dataset, tcfg, metrics_path=os.path.join(out, "metrics.csv"),
                      checkpoint_dir=out)
             for name in sorted(os.listdir(out)):
                 with open(os.path.join(out, name), "rb") as f:
-                    print(f"{sha(f.read())}  train align {align} {name}")
+                    print(f"{sha(f.read())}  train {run} {name}")
     return 0
 
 
