@@ -18,7 +18,7 @@ import os
 import signal
 import threading
 import weakref
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -218,10 +218,6 @@ class DualLevelModel:
 
         self.params = store.params
         self._arena: Optional[Arena] = None
-        # shard i of run_shards writes its gradients into buffer i
-        self._shard_grads: list[np.ndarray] = []
-        # shared buffers laid out like the arena, by name, made by share_buffers
-        self.buffers: dict[str, np.ndarray] = {}
         # forked copies that run the other shards of run_shards, started by its first call
         self._shard_workers: list[_ShardWorker] = []
 
@@ -359,7 +355,7 @@ class DualLevelModel:
             others = len(parts) - 1
             replied = False
             try:
-                if len(self._shard_grads) < len(parts):
+                if len(self.arena.grads) < len(parts):
                     # a worker sees only the mappings made before it is forked, and
                     # the optimizer tail reads every shard's gradient buffer
                     self._stop_workers()
@@ -391,9 +387,10 @@ class DualLevelModel:
 
     @property
     def arena(self) -> Arena:
-        """Every parameter, and what ``share`` added, in one shared mapping built by the first use.
+        """Every trained tensor and every buffer of a train step, in shared mappings built by
+        the first use, or by ``share``.
 
-        A worker forked afterwards reads the current values from it with no
+        A worker forked afterwards reads the current values from them with no
         copy. ``load_model`` never builds it, so loading stays cheap.
         """
         if self._arena is None:
@@ -401,18 +398,13 @@ class DualLevelModel:
         return self._arena
 
     def share(self, tensors: dict[str, Tensor]):
-        """Make the arena hold the parameters and ``tensors`` (say, the alignment projector's).
+        """Build a new arena over the parameters and ``tensors`` (say, the alignment projector's).
 
-        An arena that holds other tensors is rebuilt, and the workers forked
-        over it are stopped, so the next sharded call forks fresh ones.
+        A worker sees only the mappings made before it is forked, so the
+        workers forked over the old arena are stopped, and the next sharded
+        call forks fresh ones.
         """
-        want = {**self.params, **tensors}
-        have = self._arena.params if self._arena is not None else {}
-        if have.keys() == want.keys() and all(have[k] is t for k, t in want.items()):
-            return
-        self._arena = Arena(want, shared=True)
-        self._shard_grads.clear()
-        self.buffers = {}
+        self._arena = Arena({**self.params, **tensors})
         self._stop_workers()
 
     def _stop_workers(self):
@@ -421,27 +413,15 @@ class DualLevelModel:
         self._shard_workers.clear()
 
     def shard_grads(self, n: int) -> list[np.ndarray]:
-        """The gradient buffers of shards 0 to n-1 of ``run_shards``, laid out like the arena.
+        """The gradient buffers of shards 0 to n-1 of ``run_shards``: the arena's, grown to n.
 
-        Each is a shared mapping, so shard i writes buffer i whichever
-        process runs it; ``run_shards`` makes a worker's before forking it.
+        Shard i writes buffer i whichever process runs it; ``run_shards``
+        grows them before it forks a worker.
         """
-        while len(self._shard_grads) < n:
-            self._shard_grads.append(self.arena.like(shared=True))
-        return self._shard_grads[:n]
-
-    def share_buffers(self, dtypes: dict[str, Optional[type]]) -> dict[str, np.ndarray]:
-        """Fresh zeroed shared buffers laid out like the arena, one per name, of the given dtype.
-
-        They replace the last ones as ``buffers``, which every shard reads. A
-        worker sees only the mappings made before it is forked, so the
-        workers are stopped, and none writes a stale buffer; the next sharded
-        call forks fresh ones.
-        """
-        self.buffers = {name: self.arena.like(shared=True, dtype=dtype)
-                        for name, dtype in dtypes.items()}
-        self._stop_workers()
-        return self.buffers
+        grads = self.arena.grads
+        while len(grads) < n:
+            grads.append(self.arena.like())
+        return grads[:n]
 
     def num_params(self) -> int:
         return sum(t.size for t in self.params.values())
@@ -532,8 +512,8 @@ class _ShardWorker:
     cost moves with the load on the machine; a process meets its parent
     twice per shard. The copy's parameters are views of the model's arena,
     so it computes with the caller's current values. It may write them, and
-    the model's ``buffers``, only through ``writable``: the optimizer tail
-    steps its own span of them there.
+    the arena's optimizer buffers, only through ``writable``: the optimizer
+    tail steps its own span of them there.
     """
 
     def __init__(self, model: DualLevelModel):
@@ -581,9 +561,10 @@ class _ShardWorker:
         _openblas_threads()[1](1)
         # a shard that wrote a parameter or an optimizer buffer would change it
         # under every process
-        for buf in (model.arena.flat, *model.buffers.values()):
+        arena = model.arena
+        for buf in (arena.flat, arena.m, arena.v, arena.ema, arena.sq, arena.tmp):
             buf.flags.writeable = False
-        for t in model.arena.params.values():
+        for t in arena.params.values():
             t.data.flags.writeable = False
         while True:
             try:
@@ -621,37 +602,43 @@ def _stop_worker(conn, pid: int):
 
 
 class Arena:
-    """Tensors packed into one flat buffer, each ``data`` a view of its part.
+    """Every buffer of a train step, each laid out like ``flat``, which packs the tensors.
 
-    Any buffer from ``like`` has the same layout, so one numpy call does
-    elementwise work over all the tensors, and ``views`` gives each
-    tensor's part. Each part starts on a 64-byte boundary: packed end to
-    end, a desk forward at B=32 ran 3% slower, its SIMD loads split across
-    cache lines. The gaps hold zeros, which the optimizer keeps zero.
+    Each tensor's ``data`` is a view of its part of ``flat``. ``grads``
+    holds shard i's gradients in buffer i (one to start with; see
+    ``DualLevelModel.shard_grads``), ``m`` and ``v`` AdamW's moments,
+    ``ema`` the tensors' moving average, and ``tmp`` and ``sq`` (float64)
+    the optimizer's scratch. One numpy call does elementwise work over all
+    the tensors, and ``views`` gives each tensor's part. Each part starts on
+    a 64-byte boundary: packed end to end, a desk forward at B=32 ran 3%
+    slower, its SIMD loads split across cache lines. The gaps hold zeros,
+    which the optimizer keeps zero.
     """
 
-    def __init__(self, params: dict[str, Tensor], shared: bool = False):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = dict(params)
         self.dtype = next(iter(self.params.values())).dtype
         line = 64 // self.dtype.itemsize
         starts = np.cumsum([0] + [-(-t.size // line) * line for t in self.params.values()]).tolist()
         self.parts = [slice(a, a + t.size) for t, a in zip(self.params.values(), starts)]
         self._size = starts[-1]
-        self.flat = self.like(shared)
+        self.flat = self.like()
         for t, view in zip(self.params.values(), self.views(self.flat).values()):
             view[...] = t.data
             t.data = view
+        self.grads = [self.like()]
+        self.m, self.v, self.ema, self.tmp = (self.like() for _ in range(4))
+        self.sq = self.like(np.float64)
 
-    def like(self, shared: bool = False, dtype=None) -> np.ndarray:
+    def like(self, dtype=None) -> np.ndarray:
         """A zeroed buffer of this layout, of the tensors' dtype unless given.
 
-        It is an anonymous mapping of its own, so it stays out of the malloc
-        heap and its pages cost nothing until written. The processes forked
-        after a ``shared`` one is made read and write it in common.
+        It is an anonymous shared mapping of its own: the processes forked
+        after it is made read and write it in common. It stays out of the
+        malloc heap, and its pages cost nothing until touched.
         """
         dtype = np.dtype(dtype or self.dtype)
-        flags = mmap.MAP_SHARED if shared else mmap.MAP_PRIVATE
-        mapping = mmap.mmap(-1, max(self._size * dtype.itemsize, 1), flags=flags)
+        mapping = mmap.mmap(-1, max(self._size * dtype.itemsize, 1), flags=mmap.MAP_SHARED)
         return np.frombuffer(mapping, dtype, self._size)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
@@ -664,7 +651,21 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     return asdict(cfg)
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    d = dict(d)
-    d["resolution"] = tuple(d["resolution"])
-    return ModelConfig(**d)
+def config_from_dict(d) -> ModelConfig:
+    """The ``ModelConfig`` a checkpoint header's ``model_config`` holds.
+
+    Anything that is not an object of ``ModelConfig`` fields, or whose
+    values the config refuses, raises ``ConfigError`` naming the field.
+    """
+    field = "the header field 'model_config'"
+    if not isinstance(d, dict):
+        raise ConfigError(f"{field} is not an object of config fields: {d!r}")
+    unknown = sorted(d.keys() - {f.name for f in fields(ModelConfig)})
+    if unknown:
+        raise ConfigError(f"{field} holds unknown fields {unknown}")
+    try:
+        if "resolution" in d:
+            d = {**d, "resolution": tuple(d["resolution"])}
+        return ModelConfig(**d)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field} is malformed: {exc}") from None

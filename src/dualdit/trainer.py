@@ -13,30 +13,31 @@ gradients are summed in shard order. A run's bits therefore depend on the
 number of usable cores, as they do on the BLAS build; with one shard the
 step is the serial one.
 
-``init_state`` builds every train state. With the representation-alignment
-term on, the state holds the alignment projector; its tensors, like every
-other trained tensor, are views of the model's arena, which the shard
-workers read (``DualLevelModel.share``). Each shard's backward writes its
-gradients into a buffer of the same layout. Before it steps a state,
-``train`` moves the state's optimizer buffers (``FlatBuffers``) into shared
-mappings of that layout on the model (``DualLevelModel.share_buffers``).
+``init_state`` builds every train state, and with it a new arena on the
+model (``DualLevelModel.share``, ``model.Arena``): shared mappings that
+hold every trained tensor (the alignment projector's too, when the term is
+on) and, in the same layout, every other buffer of the step: each shard's
+gradients, AdamW's moments, the EMA and the scratch. The workers are
+forked after them, so every process of the step reads and writes the same
+buffers; a state built before a later ``init_state`` on the same model is
+refused by ``train``, ``save_checkpoint`` and ``restore_state``.
+
 The step's tail runs over blocks of whole tensors (``tail_blocks``), each
 process of the step over its own span of them (``tail_spans``), in two
 phases: A sums the shards' gradients in shard order and returns each
 tensor's sum of squares; the caller adds those in the arena's order to the
-clip norm; B clips, then applies AdamW and the EMA in place. The elementwise ops round as per-tensor loops do, so
-the bits do not depend on the blocks or the spans. A step whose phase B
-fails leaves the state half-updated (``TrainState.torn``), and only
-``restore_state`` makes it train again. A checkpoint's records are views
-of those buffers (``TrainState.records``), so a save reads them and a
-resume writes them in place. A shard keeps its heap between steps
-(``model.keep_heap``), so that a step's time does not hinge on when its
-temporaries are freed.
+clip norm; B clips, then applies AdamW and the EMA in place. The
+elementwise ops round as per-tensor loops do, so the bits do not depend on
+the blocks or the spans. A step whose phase B fails leaves the state
+half-updated (``TrainState.torn``), and only ``restore_state`` makes it
+train again. A checkpoint's records are views of the arena's buffers
+(``TrainState.records``), so a save reads them and a resume writes them
+in place. A shard keeps its heap between steps (``model.keep_heap``), so
+that a step's time does not hinge on when its temporaries are freed.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import flow as F
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, ParseError
 from .model import (Arena, DualLevelModel, config_from_dict, config_to_dict, keep_heap,
                     shard_cuts, writable)
 from .tensor import Tape, Tensor
@@ -103,33 +104,10 @@ class TrainConfig:
 
 
 @dataclass
-class FlatBuffers:
-    """The optimizer's buffers, each laid out like ``arena``.
-
-    ``grad`` receives each step's gradients; ``m`` and ``v`` are AdamW's
-    moments and ``ema`` the parameters' moving average. ``sq`` (float64) and
-    ``tmp`` are scratch.
-    """
-    arena: Arena
-    grad: np.ndarray
-    m: np.ndarray
-    v: np.ndarray
-    ema: np.ndarray
-    sq: np.ndarray
-    tmp: np.ndarray
-
-    @classmethod
-    def of(cls, model: DualLevelModel) -> FlatBuffers:
-        """The buffers ``train`` shared on ``model`` for the last state it stepped, as this
-        process sees them."""
-        return cls(model.arena, model.shard_grads(1)[0], **model.buffers)
-
-
-@dataclass
 class TrainState:
     step: int
     rng: np.random.Generator
-    flat: FlatBuffers
+    arena: Arena  # the model's when init_state built the state; it holds the optimizer's buffers
     projector: Optional[F.AlignmentProjector] = None  # set when the alignment term is on
     skipped_steps: int = 0
     consecutive_bad: int = 0
@@ -138,11 +116,11 @@ class TrainState:
 
     def records(self) -> dict[str, np.ndarray]:
         """The checkpoint records by name ("param.", "adam_m.", "adam_v.", "ema." + tensor):
-        views of the arena and of the optimizer's buffers."""
-        arena, flat = self.flat.arena, self.flat
+        views of the arena's buffers."""
+        arena = self.arena
         out = {}
-        for kind, buf in (("param", arena.flat), ("adam_m", flat.m), ("adam_v", flat.v),
-                          ("ema", flat.ema)):
+        for kind, buf in (("param", arena.flat), ("adam_m", arena.m), ("adam_v", arena.v),
+                          ("ema", arena.ema)):
             out.update({f"{kind}.{name}": view for name, view in arena.views(buf).items()})
         return out
 
@@ -235,23 +213,24 @@ def tail_spans(blocks: list[Block], n: int) -> list[list[Block]]:
     return [span for span in spans if span]
 
 
-def sum_squares(flat: FlatBuffers, others: list[np.ndarray], blocks: list[Block]) -> list[float]:
+def sum_squares(arena: Arena, shards: int, blocks: list[Block]) -> list[float]:
     """Phase A of the tail over ``blocks``: each part's float64 sum of squared gradients.
 
-    Adds the other shards' gradient buffers into ``flat.grad`` first, in
-    shard order, so that a run's bits do not depend on timing.
+    Adds the gradient buffers of shards 1 to ``shards`` - 1 into that of
+    shard 0 first, in shard order, so that a run's bits do not depend on
+    timing.
     """
     sums = []
     for span, parts in blocks:
-        g = writable(flat.grad, span)
-        for other in others:
+        g = writable(arena.grads[0], span)
+        for other in arena.grads[1:shards]:
             np.add(g, other[span], out=g)
-        np.square(g, out=writable(flat.sq, span), dtype=np.float64)
-        sums += [float(flat.sq[part].sum()) for part in parts]
+        np.square(g, out=writable(arena.sq, span), dtype=np.float64)
+        sums += [float(arena.sq[part].sum()) for part in parts]
     return sums
 
 
-def clip_scale(flat: FlatBuffers, sums: list[float],
+def clip_scale(arena: Arena, sums: list[float],
                max_norm: float) -> tuple[float, Optional[float]]:
     """The gradients' global L2 norm from phase A's sums, and the scale phase B clips them by.
 
@@ -264,44 +243,32 @@ def clip_scale(flat: FlatBuffers, sums: list[float],
     for part_sum in sums:  # not sum(), which compensates the rounding since Python 3.12
         total += part_sum
     if not np.isfinite(total):
-        bad = [name for name, g in flat.arena.views(flat.grad).items() if not np.isfinite(g).all()]
+        bad = [name for name, g in arena.views(arena.grads[0]).items() if not np.isfinite(g).all()]
         raise NumericError(f"gradient of {bad[0]} non-finite" if bad else "gradient norm overflows")
     norm = float(np.sqrt(total))
     return norm, (max_norm / norm if norm > max_norm else None)
 
 
-def step_blocks(flat: FlatBuffers, blocks: list[Block], scale: Optional[float], step: int,
+def step_blocks(arena: Arena, blocks: list[Block], scale: Optional[float], step: int,
                 lr: float, cfg: TrainConfig):
     """Phase B of the tail over ``blocks``: clip by ``scale``, then AdamW and the EMA, in place."""
     for span, _ in blocks:
         p, g, m, v, ema, tmp = (writable(buf, span) for buf in (
-            flat.arena.flat, flat.grad, flat.m, flat.v, flat.ema, flat.tmp))
+            arena.flat, arena.grads[0], arena.m, arena.v, arena.ema, arena.tmp))
         if scale is not None:
             np.multiply(g, scale, out=g)
         adamw_step(p, g, m, v, tmp, step, lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)
         ema_update(ema, p, cfg.ema_decay, tmp)
 
 
-def _share(model: DualLevelModel, flat: FlatBuffers) -> FlatBuffers:
-    """``flat``'s values in fresh buffers shared on ``model``, which every process of the tail
-    steps; the workers forked before are stopped (``DualLevelModel.share_buffers``)."""
-    model.share_buffers({"m": None, "v": None, "ema": None, "sq": np.float64, "tmp": None})
-    shared = FlatBuffers.of(model)
-    for name in ("m", "v", "ema"):
-        # a zero buffer is left to the new mapping, whose pages then cost nothing until stepped
-        if getattr(flat, name).any():
-            getattr(shared, name)[...] = getattr(flat, name)
-    return shared
-
-
 def _sum_span(model: DualLevelModel, blocks: list[Block], shards: int) -> list[float]:
-    """``sum_squares`` over the model's buffers and its ``shards`` gradient buffers."""
-    return sum_squares(FlatBuffers.of(model), model.shard_grads(shards)[1:], blocks)
+    """``sum_squares`` over the model's arena."""
+    return sum_squares(model.arena, shards, blocks)
 
 
 def _step_span(model: DualLevelModel, blocks: list[Block], *args):
-    """``step_blocks`` over the model's buffers."""
-    step_blocks(FlatBuffers.of(model), blocks, *args)
+    """``step_blocks`` over the model's arena."""
+    step_blocks(model.arena, blocks, *args)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +285,7 @@ def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight
     """One shard of a train step: its (loss_diff, loss_repa, loss, zero_norm_pairs).
 
     ``batch`` holds the shard's rows as ``FlowBatch.rows`` cuts them. The
-    backward of ``weight`` times its loss writes straight into the model's
+    backward of ``weight`` times its loss writes straight into the arena's
     gradient buffer ``shard`` (``DualLevelModel.shard_grads``). ``weight``
     is the shard's share of the batch, so that the shards' gradients sum to
     those of the batch mean. ``align`` is (tap, align_weight) when the step
@@ -352,8 +319,10 @@ def init_state(model: DualLevelModel, cfg: TrainConfig) -> TrainState:
     """A fresh train state for ``model`` under ``cfg``; every train state is built here.
 
     With ``cfg.align_weight`` positive the state holds the alignment
-    projector, seeded by ``cfg.seed``, whose tensors join the model's arena
-    (``DualLevelModel.share``). To resume, pass the state to ``restore_state``.
+    projector, seeded by ``cfg.seed``. Each call builds the model a new
+    arena over its parameters and the projector's (``DualLevelModel.share``),
+    whose buffers the state steps; a state built before is then refused. To
+    resume, pass the state to ``restore_state``.
     """
     projector = None
     if cfg.align_weight > 0.0:
@@ -361,12 +330,17 @@ def init_state(model: DualLevelModel, cfg: TrainConfig) -> TrainState:
                                          seed=cfg.seed, dtype=model.dtype)
     model.share({} if projector is None else projector.params)
     arena = model.arena
-    # the gradients arrive in the buffer of shard 0, the caller's
-    flat = FlatBuffers(arena, model.shard_grads(1)[0], m=arena.like(), v=arena.like(),
-                       ema=arena.like(), sq=arena.like(dtype=np.float64), tmp=arena.like())
-    flat.ema[...] = arena.flat
-    return TrainState(step=0, rng=np.random.default_rng(np.random.PCG64(cfg.seed)), flat=flat,
+    arena.ema[...] = arena.flat
+    return TrainState(step=0, rng=np.random.default_rng(np.random.PCG64(cfg.seed)), arena=arena,
                       projector=projector)
+
+
+def _refuse_stale(model: DualLevelModel, state: TrainState):
+    if state.arena is not model.arena:
+        raise ConfigError(
+            "the train state's buffers no longer back the model's tensors: a later init_state "
+            "built the model a new arena; build the state again"
+        )
 
 
 def _refuse_torn(state: TrainState):
@@ -378,6 +352,7 @@ def _refuse_torn(state: TrainState):
 
 
 def save_checkpoint(path, model: DualLevelModel, state: TrainState):
+    _refuse_stale(model, state)
     _refuse_torn(state)
     header = {
         "kind": "train_state",
@@ -392,7 +367,7 @@ def save_checkpoint(path, model: DualLevelModel, state: TrainState):
 
 def load_model(path, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
     header, arrays = ckpt.load(path)
-    model = DualLevelModel(config_from_dict(header["model_config"]), dtype=dtype)
+    model = DualLevelModel(config_from_dict(header.get("model_config")), dtype=dtype)
     model.load_state(arrays, "ema." if use_ema else "param.")
     return model
 
@@ -404,19 +379,19 @@ def restore_state(model: DualLevelModel, state: TrainState, path):
     where the uninterrupted run's would be. Every record and header field
     is checked before any is written, so a bad checkpoint changes nothing.
     """
+    _refuse_stale(model, state)
     header, arrays = ckpt.load(path)
     if header.get("kind") != "train_state":
         raise ConfigError(f"{path} is not a training checkpoint")
     records = state.records()
     checked = {name: ckpt.get_record(arrays, name, view.shape) for name, view in records.items()}
-    # fields that change no shape (rope_pixel_pathway, cond_uses_class) pass the record
-    # checks; the header holds the config as JSON, where tuples read back as lists
-    saved = header.get("model_config", {})
-    current = json.loads(json.dumps(config_to_dict(model.config)))
-    differ = [k for k in sorted(current.keys() | saved.keys()) if saved.get(k) != current.get(k)]
+    # fields that change no shape (rope_pixel_pathway, cond_uses_class) pass the record checks
+    saved = config_to_dict(config_from_dict(header.get("model_config")))
+    current = config_to_dict(model.config)
+    differ = [k for k in current if saved[k] != current[k]]
     if differ:
         raise ConfigError(f"{path} holds another model configuration: " + ", ".join(
-            f"{k} saved {saved.get(k)!r}, model {current.get(k)!r}" for k in differ))
+            f"{k} saved {saved[k]!r}, model {current[k]!r}" for k in differ))
     counters = {key: header.get(key) for key in ("step", "skipped_steps", "consecutive_bad")}
     for key, value in counters.items():
         if type(value) is not int or value < 0:
@@ -451,9 +426,16 @@ def _drop_metrics_from(path, step: int):
     """
     with open(path) as f:
         lines = f.readlines()
-    kept = lines[:1] + [
-        line for line in lines[1:] if line.endswith("\n") and int(line.split(",", 1)[0]) < step
-    ]
+    kept = lines[:1]
+    for number, line in enumerate(lines[1:], 2):
+        if not line.endswith("\n"):
+            continue  # a row cut short when the run stopped
+        field = line.split(",", 1)[0]
+        try:
+            if int(field) < step:
+                kept.append(line)
+        except ValueError:
+            raise ParseError(f"{path} line {number}: step {field!r} is not an integer") from None
     if len(kept) < len(lines):
         tmp = f"{path}.tmp"
         with open(tmp, "w") as f:
@@ -476,11 +458,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
     mcfg = model.config
     if state is None:
         state = init_state(model, cfg)
-    if state.flat.arena is not model.arena:
-        raise ConfigError(
-            "the train state's flat buffers no longer back the model's tensors: a later "
-            "init_state rebuilt the model's arena; build the state again"
-        )
+    _refuse_stale(model, state)
     _refuse_torn(state)
     if (state.projector is not None) != (cfg.align_weight > 0.0):
         raise ConfigError(
@@ -503,7 +481,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
             )
         align = (tap, cfg.align_weight)
     H, W = mcfg.resolution
-    blocks = tail_blocks(model.arena)
+    blocks = tail_blocks(state.arena)
 
     images = np.asarray(dataset.images)
     labels = np.asarray(dataset.labels)
@@ -515,8 +493,6 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
     if np.any(labels < 0) or np.any(labels > mcfg.null_class):
         raise InputError(f"dataset labels must lie in [0, {mcfg.null_class}], got {np.unique(labels)}")
     t_sampler = F.logit_normal_sampler(cfg.logit_normal_mean, cfg.logit_normal_std)
-    if state.flat.m is not model.buffers.get("m"):
-        state.flat = _share(model, state.flat)
 
     metrics_file = None
     if metrics_path is not None:
@@ -563,7 +539,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
                     raise NumericError("loss non-finite")
                 spans = tail_spans(blocks, len(parts))
                 sums = model.run_shards(_sum_span, [(span, len(parts)) for span in spans])
-                row["grad_norm"], scale = clip_scale(state.flat, sum(sums, []), max_norm)
+                row["grad_norm"], scale = clip_scale(state.arena, sum(sums, []), max_norm)
             except NumericError as exc:
                 bad = exc
             except BaseException:

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import functools
+import mmap
 import os
 import resource
 import signal
@@ -71,41 +72,40 @@ class TestAdamW:
         np.testing.assert_allclose(v, [0.999])
 
 
-def flat_buffers(grads: dict) -> TR.FlatBuffers:
-    """Optimizer buffers over one arena whose gradient buffer holds the given gradients by name."""
+def flat_buffers(grads: dict) -> M.Arena:
+    """An arena whose first gradient buffer holds the given gradients by name."""
     arena = M.Arena({k: Tensor(np.zeros_like(g)) for k, g in grads.items()})
-    flat = TR.FlatBuffers(arena, arena.like(), m=arena.like(), v=arena.like(), ema=arena.like(),
-                          sq=arena.like(dtype=np.float64), tmp=arena.like())
-    for view, g in zip(arena.views(flat.grad).values(), grads.values()):
+    for view, g in zip(arena.views(arena.grads[0]).values(), grads.values()):
         view[...] = g
-    return flat
+    return arena
 
 
-def grads_of(flat: TR.FlatBuffers) -> dict:
-    return {k: g.copy() for k, g in flat.arena.views(flat.grad).items()}
+def grads_of(arena: M.Arena) -> dict:
+    return {k: g.copy() for k, g in arena.views(arena.grads[0]).items()}
 
 
-def tail(flat: TR.FlatBuffers, max_norm: float, others=(), shards: int = 1, **kw) -> float:
-    """The optimizer tail over ``flat`` as ``train`` runs it, each span in turn in this process:
-    its pre-clip norm. ``kw`` overrides AdamW's step and learning rate and the config's fields."""
-    spans = TR.tail_spans(TR.tail_blocks(flat.arena), shards)
-    sums = [s for span in spans for s in TR.sum_squares(flat, list(others), span)]
-    norm, scale = TR.clip_scale(flat, sums, max_norm)
+def tail(arena: M.Arena, max_norm: float, shards: int = 1, **kw) -> float:
+    """The optimizer tail over ``arena`` and all its gradient buffers as ``train`` runs it, each
+    of ``shards`` spans in turn in this process: its pre-clip norm. ``kw`` overrides AdamW's step
+    and learning rate and the config's fields."""
+    spans = TR.tail_spans(TR.tail_blocks(arena), shards)
+    sums = [s for span in spans for s in TR.sum_squares(arena, len(arena.grads), span)]
+    norm, scale = TR.clip_scale(arena, sums, max_norm)
     step, lr = kw.pop("step", 1), kw.pop("lr", 1e-3)
     for span in spans:
-        TR.step_blocks(flat, span, scale, step, lr, TR.TrainConfig(**kw))
+        TR.step_blocks(arena, span, scale, step, lr, TR.TrainConfig(**kw))
     return norm
 
 
 class TestClipping:
     """The first step's first moment is (1 - b1) times the clipped gradient."""
 
-    def clipped(self, flat):
-        return np.concatenate([m.ravel() for m in flat.arena.views(flat.m).values()]) / 0.1
+    def clipped(self, arena):
+        return np.concatenate([m.ravel() for m in arena.views(arena.m).values()]) / 0.1
 
     def test_identity_below_max(self):
         flat = flat_buffers({"a": np.array([0.3, 0.4])})
-        sums = TR.sum_squares(flat, [], TR.tail_blocks(flat.arena))
+        sums = TR.sum_squares(flat, 1, TR.tail_blocks(flat))
         assert TR.clip_scale(flat, sums, 1.0) == (pytest.approx(0.5), None)
         np.testing.assert_array_equal(grads_of(flat)["a"], [0.3, 0.4])
         assert tail(flat, 1.0) == pytest.approx(0.5)
@@ -177,19 +177,19 @@ class TestFlatTail:
         monkeypatch.setattr(TR, "_TAIL_BLOCK", block)
         rng = np.random.default_rng(4)
         shapes = {"w": (5, 3), "b": (3,), "repa.w": (7, 2), "repa.b": (1,)}
-        flat = flat_buffers({k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()})
-        others = [flat.arena.like(), flat.arena.like()]
-        gaps = np.setdiff1d(np.arange(flat.grad.size), np.r_[tuple(flat.arena.parts)])
-        for buf in (flat.arena.flat, flat.grad, flat.m, flat.v, flat.ema, *others):
+        arena = flat_buffers({k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()})
+        arena.grads += [arena.like(), arena.like()]
+        gaps = np.setdiff1d(np.arange(arena.flat.size), np.r_[tuple(arena.parts)])
+        for buf in (arena.flat, arena.grads[0], arena.m, arena.v, arena.ema, *arena.grads[1:]):
             buf[...] = rng.normal(size=buf.size).astype(np.float32)
             buf[gaps] = 0.0  # as in the arena's alignment gaps
-        for buf in (flat.grad, *others):
-            flat.arena.views(buf)["w"][0, :2] = [0.0, -0.0]
-        flat.v[...] = np.abs(flat.v)
-        shard_grads = [flat.arena.views(buf) for buf in (flat.grad, *others)]
-        ref = {kind: {k: a.copy() for k, a in flat.arena.views(buf).items()}
-               for kind, buf in (("p", flat.arena.flat), ("m", flat.m), ("v", flat.v),
-                                 ("ema", flat.ema))}
+        for buf in arena.grads:
+            arena.views(buf)["w"][0, :2] = [0.0, -0.0]
+        arena.v[...] = np.abs(arena.v)
+        shard_grads = [arena.views(buf) for buf in arena.grads]
+        ref = {kind: {k: a.copy() for k, a in arena.views(buf).items()}
+               for kind, buf in (("p", arena.flat), ("m", arena.m), ("v", arena.v),
+                                 ("ema", arena.ema))}
         ref["g"] = {k: (shard_grads[0][k] + shard_grads[1][k]) + shard_grads[2][k]
                     for k in shapes}
         kw = dict(step=3, lr=1e-2, betas=(0.9, 0.999), weight_decay=0.05, eps=1e-8)
@@ -197,11 +197,11 @@ class TestFlatTail:
                          decay=0.99, max_norm=0.5, **kw)
         assert want > 0.5
         kw["adam_eps"] = kw.pop("eps")
-        assert tail(flat, 0.5, others, shards, ema_decay=0.99, **kw) == want
-        for kind, buf in (("p", flat.arena.flat), ("m", flat.m), ("v", flat.v), ("ema", flat.ema)):
-            for k, a in flat.arena.views(buf).items():
+        assert tail(arena, 0.5, shards, ema_decay=0.99, **kw) == want
+        for kind, buf in (("p", arena.flat), ("m", arena.m), ("v", arena.v), ("ema", arena.ema)):
+            for k, a in arena.views(buf).items():
                 assert a.tobytes() == ref[kind][k].tobytes(), (kind, k)
-        assert not flat.arena.flat[gaps].any()
+        assert not arena.flat[gaps].any()
 
 
 class TestTailPartition:
@@ -335,18 +335,29 @@ class TestTrainLoop:
         state = TR.train(model, dataset, narrow, state=TR.init_state(model, narrow))
         assert state.step == 2
 
-    def test_a_state_over_a_rebuilt_arena_is_refused(self):
-        # a later init_state, with a projector of its own, rebuilt the arena the state steps
-        model, dataset, cfg = tiny_setup(total_steps=2, align=0.5)
+    @pytest.mark.parametrize("align", [0.0, 0.5])
+    def test_a_state_over_a_rebuilt_arena_is_refused(self, tmp_path, align):
+        # a later init_state built the model a new arena, so the stale state's records
+        # are no longer the model's: it is neither stepped, saved nor restored
+        model, dataset, cfg = tiny_setup(total_steps=2, align=align)
         stale = TR.init_state(model, cfg)
         state = TR.init_state(model, cfg)
         before = {key: a.copy() for key, a in stale.records().items()}
         with pytest.raises(ConfigError, match="build the state again"):
             TR.train(model, dataset, cfg, state=stale)
-        assert stale.step == 0 and stale.metrics == []
-        assert_unchanged(stale, before)
+        assert stale.metrics == []
         TR.train(model, dataset, cfg, state=state)
         assert state.step == 2
+        TR.save_checkpoint(tmp_path / "a.ckpt", model, state)
+        params = {k: t.data.copy() for k, t in model.params.items()}
+        for refused in (lambda: TR.save_checkpoint(tmp_path / "stale.ckpt", model, stale),
+                        lambda: TR.restore_state(model, stale, tmp_path / "a.ckpt")):
+            with pytest.raises(ConfigError, match="build the state again"):
+                refused()
+        assert not (tmp_path / "stale.ckpt").exists() and stale.step == 0
+        assert_unchanged(stale, before)
+        for k, t in model.params.items():
+            assert t.data.tobytes() == params[k].tobytes(), k
 
     def test_alignment_term_logged(self):
         model, dataset, cfg = tiny_setup(total_steps=3, align=0.5)
@@ -510,6 +521,43 @@ class TestCheckpointing:
             TR.restore_state(other, state, tmp_path / "final.ckpt")
         assert_unchanged(state, before)
 
+    @pytest.mark.parametrize("entry", ["load_model", "restore_state"])
+    @pytest.mark.parametrize("bad", ["missing", [1], "x", None, "unknown field", "odd patch_dim"])
+    def test_a_malformed_model_config_names_it(self, tmp_path, entry, bad):
+        model, _, cfg = tiny_setup()
+        state = TR.init_state(model, cfg)
+        ck = tmp_path / "a.ckpt"
+        TR.save_checkpoint(ck, model, state)
+        header, arrays = C.load(ck)
+        config = header.pop("model_config")
+        if bad == "unknown field":
+            header["model_config"] = {**config, "depth": 3}
+        elif bad == "odd patch_dim":
+            header["model_config"] = {**config, "patch_dim": 15}
+        elif bad != "missing":
+            header["model_config"] = bad
+        C.save(ck, header, arrays)
+        before = {key: a.copy() for key, a in state.records().items()}
+        with pytest.raises(ConfigError, match="header field 'model_config'"):
+            if entry == "load_model":
+                TR.load_model(ck)
+            else:
+                TR.restore_state(model, state, ck)
+        assert_unchanged(state, before)
+
+    def test_a_non_numeric_step_in_the_metrics_csv_names_the_line(self, tmp_path):
+        model, dataset, cfg = tiny_setup(total_steps=2)
+        path = tmp_path / "metrics.csv"
+        TR.train(model, dataset, cfg, metrics_path=path, checkpoint_dir=tmp_path)
+        with open(path, "a") as f:
+            f.write("garbage,1,2\n")
+        logged = path.read_bytes()
+        state = TR.restore_state(model, TR.init_state(model, cfg), tmp_path / "final.ckpt")
+        cfg.total_steps = 3
+        with pytest.raises(ParseError, match=r"metrics\.csv line 4: step 'garbage'"):
+            TR.train(model, dataset, cfg, state=state, metrics_path=path)
+        assert state.step == 2 and path.read_bytes() == logged
+
     def test_load_model_checks_the_records_it_reads(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=1)
         state = TR.train(model, dataset, cfg)
@@ -670,8 +718,8 @@ CLIP = TR.clip_scale
 def spy_gradients(monkeypatch) -> dict:
     """A dict that each train step fills with copies of its summed, pre-clip gradients."""
     seen = {}
-    monkeypatch.setattr(TR, "clip_scale", lambda flat, sums, norm: seen.update(
-        grads_of(flat)) or CLIP(flat, sums, norm))
+    monkeypatch.setattr(TR, "clip_scale", lambda arena, sums, norm: seen.update(
+        grads_of(arena)) or CLIP(arena, sums, norm))
     return seen
 
 
@@ -692,7 +740,7 @@ def write_a_parameter(model, write: bool):
 def write_a_moment(model, write: bool):
     """A shard that writes AdamW's first moment when ``write`` is set."""
     if write:
-        model.buffers["m"][:4] = 1.0
+        model.arena.m[:4] = 1.0
     return write
 
 
@@ -778,11 +826,33 @@ class TestShardedTraining:
         for k, t in model_full.params.items():
             assert t.data.tobytes() == model_res.params[k].data.tobytes(), k
         # the restore wrote into the flat buffers the optimizer steps
-        flat, records = resumed.flat, resumed.records()
+        arena, records = resumed.arena, resumed.records()
         for k, t in model_res.params.items():
             assert np.shares_memory(t.data, model_res.arena.flat), k
-            for kind, buf in (("adam_m", flat.m), ("adam_v", flat.v), ("ema", flat.ema)):
+            for kind, buf in (("adam_m", arena.m), ("adam_v", arena.v), ("ema", arena.ema)):
                 assert np.shares_memory(records[f"{kind}.{k}"], buf), k
+
+    def test_one_call_per_step_forks_once_and_maps_nothing_after_the_first(self, two_cores,
+                                                                          monkeypatch):
+        # as perfbench's train_desk calls train: every buffer is mapped before the fork
+        model, dataset, cfg = crit9_setup(0)
+        state = TR.init_state(model, cfg)
+        forks, maps = [], []
+        fork, mapping = M._ShardWorker.__init__, mmap.mmap
+        monkeypatch.setattr(M._ShardWorker, "__init__",
+                            lambda self, model: forks.append(state.step) or fork(self, model))
+        monkeypatch.setattr(mmap, "mmap",
+                            lambda *a, **kw: maps.append(state.step) or mapping(*a, **kw))
+        for step in range(12):
+            cfg.total_steps = step + 1
+            TR.train(model, dataset, cfg, state=state)
+        assert forks == [0] and set(maps) <= {0}
+        assert two_cores == [4, 4] * 12
+        model_one, _, cfg_one = crit9_setup(12)
+        one = TR.train(model_one, dataset, cfg_one)
+        assert TR.metrics_to_csv(state.metrics) == TR.metrics_to_csv(one.metrics)
+        for key, a in one.records().items():
+            assert a.tobytes() == state.records()[key].tobytes(), key
 
     def test_one_shard_is_the_serial_step(self, shard_sizes, monkeypatch):
         # a batch whose shards would keep too few pixel tokens runs in one, with weight 1
@@ -987,7 +1057,7 @@ class TestShardedTraining:
         if M._openblas_threads() is None:
             pytest.skip("sharding needs OpenBLAS's thread-count setter")
         model, dataset, cfg = crit9_setup(1)
-        state = TR.train(model, dataset, cfg)  # which shares the state's buffers on the model
+        state = TR.train(model, dataset, cfg)
         before = {key: a.copy() for key, a in state.records().items()}
         with pytest.raises(ValueError, match="read-only"):
             model.run_shards(write_a_moment, [(False,), (True,)])

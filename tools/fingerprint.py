@@ -13,7 +13,12 @@ It hashes:
   every 10 steps), the metrics CSV and every checkpoint file: once without
   and once with the alignment term, and once without it under clip norm
   0.1 and weight decay 0.05, so that every step clips and decays (without
-  the term the gradients' norms lie near 0.25, under the default clip 1.0).
+  the term the gradients' norms lie near 0.25, under the default clip 1.0);
+- the first of those runs resumed: its step-10 checkpoint restored into a
+  fresh state, then trained to step 20 one ``train`` call per step (as
+  perfbench's train_desk calls it), appending to a copy of its metrics CSV.
+  Its metrics.csv and final.ckpt lines equal the uninterrupted run's
+  exactly when the resume keeps the bits.
 
 Two runs print the same lines exactly when every hashed byte is the same.
 The train steps shard over the usable cores, and their bits depend on the
@@ -23,8 +28,10 @@ core count, so the first line names it; compare runs at equal counts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import os
+import shutil
 import sys
 import tempfile
 
@@ -67,17 +74,35 @@ def main(argv=None) -> int:
     runs = {"align 0.0": dict(align_weight=0.0), "align 0.5": dict(align_weight=0.5),
             "align 0.0 clip 0.1 decay 0.05": dict(align_weight=0.0, clip_norm=0.1,
                                                   weight_decay=0.05)}
-    for run, kw in runs.items():
-        model = M.DualLevelModel(desk, seed=15)
-        tcfg = TR.TrainConfig(lr=1e-3, batch_size=64, total_steps=20, class_drop_prob=0.1,
-                              checkpoint_every=10, seed=16, **kw)
-        with tempfile.TemporaryDirectory() as out:
+    configs = {run: TR.TrainConfig(lr=1e-3, batch_size=64, total_steps=20, class_drop_prob=0.1,
+                                   checkpoint_every=10, seed=16, **kw) for run, kw in runs.items()}
+    with tempfile.TemporaryDirectory() as root:
+        for run, tcfg in configs.items():
+            out = os.path.join(root, run)
+            os.mkdir(out)
+            model = M.DualLevelModel(desk, seed=15)
             TR.train(model, dataset, tcfg, metrics_path=os.path.join(out, "metrics.csv"),
                      checkpoint_dir=out)
-            for name in sorted(os.listdir(out)):
-                with open(os.path.join(out, name), "rb") as f:
-                    print(f"{sha(f.read())}  train {run} {name}")
+            print_files(out, sorted(os.listdir(out)), f"train {run}")
+
+        run, tcfg = "align 0.0", configs["align 0.0"]
+        first, again = os.path.join(root, run), os.path.join(root, "resumed")
+        os.mkdir(again)
+        metrics = shutil.copy(os.path.join(first, "metrics.csv"), again)
+        model = M.DualLevelModel(desk, seed=15)
+        state = TR.restore_state(model, TR.init_state(model, tcfg),
+                                 os.path.join(first, "step00000010.ckpt"))
+        while state.step < tcfg.total_steps:
+            TR.train(model, dataset, dataclasses.replace(tcfg, total_steps=state.step + 1),
+                     state=state, metrics_path=metrics, checkpoint_dir=again)
+        print_files(again, ["metrics.csv", "final.ckpt"], f"train {run} resumed")
     return 0
+
+
+def print_files(directory: str, names: list[str], label: str):
+    for name in names:
+        with open(os.path.join(directory, name), "rb") as f:
+            print(f"{sha(f.read())}  {label} {name}")
 
 
 if __name__ == "__main__":
