@@ -25,8 +25,10 @@ import contextlib
 import json
 import math
 import os
+import stat
 import struct
-from typing import Any
+import threading
+from typing import Any, Optional
 
 import numpy as np
 
@@ -40,8 +42,10 @@ def save(path, header: dict[str, Any], arrays: dict[str, np.ndarray]):
     """Write a checkpoint that replaces ``path`` atomically.
 
     The bytes go to ``path + ".tmp"`` in the same directory, reach the disk
-    (fsync), and only then take the place of ``path`` (``durable_replace``);
-    a save that fails removes the temporary file, so an earlier one survives.
+    (fsync), and only then take the place of ``path`` (``durable_replace``),
+    which holds them durably when this returns; the file they replace is freed
+    by a thread meanwhile. A save that fails removes the temporary file, so
+    an earlier one survives.
     Records are stored as float32, so any other dtype raises ``ConfigError``
     before the temporary file is opened, rather than losing precision.
     """
@@ -76,18 +80,73 @@ def save(path, header: dict[str, Any], arrays: dict[str, np.ndarray]):
 
 
 def durable_replace(tmp, path):
-    """``os.replace(tmp, path)``, and an fsync of the directory so that a power loss keeps it."""
-    os.replace(tmp, path)
-    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    """``os.replace(tmp, path)``, and an fsync of the directory so that a power loss keeps it.
+
+    The kernel frees a file's blocks at the close of its last link, on the
+    closer's clock: on ext4 mounted with ``discard`` (a 2-core VM's virtual
+    disk), 7.7 MB desk saves over one path took a median of 7-26 ms and a p90
+    of 57-131 ms, against 4 ms to a fresh name (``tools/save_cost.py``). So
+    a regular file at ``path`` is opened before
+    the rename, and a short-lived thread closes it after the directory fsync:
+    the caller returns once ``path`` durably names the new file. A fork waits
+    for that close (``_join_releases``), so no child keeps the old file; a
+    crash before it leaves an orphan inode, which the kernel reclaims.
+    Anything else at ``path`` (nothing, a symlink, a FIFO, a file this
+    process may not read) is replaced plainly.
+    """
+    old = _open_regular(path)
     try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+        os.replace(tmp, path)
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+    except BaseException:
+        if old is not None:
+            os.close(old)
+        raise
+    if old is not None:
+        try:
+            threading.Thread(target=os.close, args=(old,), name=_RELEASE, daemon=True).start()
+        except RuntimeError:  # no thread to be had: free the file here
+            os.close(old)
+
+
+_RELEASE = "checkpoint-release"  # the name of a thread that closes a replaced file
+
+
+def _open_regular(path) -> Optional[int]:
+    """A descriptor of the regular file ``path`` names, or None if it names none this process
+    may read. Neither a symlink (``O_NOFOLLOW``) nor a FIFO (``O_NONBLOCK``) blocks it."""
+    try:
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK | os.O_NOFOLLOW)
+    except OSError:
+        return None
+    if stat.S_ISREG(os.fstat(fd).st_mode):
+        return fd
+    os.close(fd)
+    return None
+
+
+def _join_releases():
+    """Wait for the closes of replaced files under way: a process forked before one would
+    inherit the descriptor and keep the file's blocks for as long as it runs."""
+    for thread in threading.enumerate():
+        if thread.name == _RELEASE:
+            thread.join()
+
+
+os.register_at_fork(before=_join_releases)
 
 
 def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     with open(path, "rb") as f:
-        blob = f.read()
+        return parse(f.read())
+
+
+def parse(blob: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """The header and the records of the checkpoint file whose bytes are ``blob``."""
     off = 0
 
     def take(n, what):

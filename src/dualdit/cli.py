@@ -79,7 +79,11 @@ def cmd_sample(args) -> int:
         args.usage_error(str(e))  # exits 2 before any checkpoint is opened
     if args.count < 1:
         args.usage_error(f"--count must be >= 1, got {args.count}")
-    model = TR.load_model(args.checkpoint, use_ema=not args.raw_params)
+    # one read, so that the manifest hashes the bytes sampled from, even when a
+    # run saves over the file meanwhile
+    with open(args.checkpoint, "rb") as f:
+        blob = f.read()
+    model = TR.load_model(blob, use_ema=not args.raw_params)
     y = np.full(args.count, args.class_id, dtype=np.int64)
     images = sample(model, cfg, y)
     os.makedirs(args.out, exist_ok=True)
@@ -88,14 +92,12 @@ def cmd_sample(args) -> int:
         name = f"class{args.class_id}_{i:04d}.ppm"
         D.write_image(os.path.join(args.out, name), img)
         files.append(name)
-    with open(args.checkpoint, "rb") as f:
-        digest = hashlib.sha256(f.read()).hexdigest()
     manifest = {
         "sampler": dataclasses.asdict(cfg),
         "class_id": args.class_id,
         "count": args.count,
         "checkpoint": str(args.checkpoint),
-        "checkpoint_sha256": digest,
+        "checkpoint_sha256": hashlib.sha256(blob).hexdigest(),
         "ema_params": not args.raw_params,
         "files": files,
     }

@@ -345,7 +345,10 @@ class DualLevelModel:
         BLAS thread count is process-wide, so one sharded call runs at a
         time: a call waits for another thread's shards. A part's exception
         is raised here, that of the first part in order when several raise.
+        Every process that runs a shard keeps its heap (``keep_heap``): this
+        one from its first call, a worker from its fork.
         """
+        keep_heap()
         if len(parts) == 1:
             return [fn(self, *parts[0])]
         with _SHARD_LOCK:
@@ -496,7 +499,7 @@ def _openblas_threads():
 
 @functools.cache
 def keep_heap():
-    """Have glibc keep the heap a train step frees for the next step, not fault it in again."""
+    """Have glibc keep the heap a shard frees for the next shard, not fault it in again."""
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int

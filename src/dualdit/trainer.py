@@ -32,8 +32,15 @@ the blocks or the spans. A step whose phase B fails leaves the state
 half-updated (``TrainState.torn``), and only ``restore_state`` makes it
 train again. A checkpoint's records are views of the arena's buffers
 (``TrainState.records``), so a save reads them and a resume writes them
-in place. A shard keeps its heap between steps (``model.keep_heap``), so
-that a step's time does not hinge on when its temporaries are freed.
+in place. Every process that runs a shard keeps its heap between steps
+(``model.keep_heap``, set by ``run_shards``), so that a step's time does not
+hinge on when its temporaries are freed.
+
+``save_checkpoint`` returns once the file durably holds the new checkpoint.
+Saving over an earlier one, as a run that keeps only its latest does, leaves
+the freeing of the replaced file to a short-lived thread
+(``checkpoint.durable_replace``), so the next step need not wait for the
+filesystem to discard its blocks.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import flow as F
 from .errors import ConfigError, InputError, NumericError, ParseError
-from .model import (Arena, DualLevelModel, config_from_dict, config_to_dict, keep_heap,
-                    shard_cuts, writable)
+from .model import (Arena, DualLevelModel, config_from_dict, config_to_dict, shard_cuts,
+                    writable)
 from .tensor import Tape, Tensor
 
 METRICS_HEADER = "step,loss,loss_diff,loss_repa,grad_norm,lr"
@@ -293,7 +300,6 @@ def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight
     and an encoder of its width. A non-finite loss leaves the gradients
     unwritten.
     """
-    keep_heap()
     arena = model.arena
     with Tape() as tape:
         patch_outs = [] if align is not None else None
@@ -365,8 +371,9 @@ def save_checkpoint(path, model: DualLevelModel, state: TrainState):
     ckpt.save(path, header, state.records())
 
 
-def load_model(path, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
-    header, arrays = ckpt.load(path)
+def load_model(checkpoint, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
+    """The model a checkpoint holds: ``checkpoint`` is its path, or the bytes of its file."""
+    header, arrays = ckpt.parse(checkpoint) if isinstance(checkpoint, bytes) else ckpt.load(checkpoint)
     model = DualLevelModel(config_from_dict(header.get("model_config")), dtype=dtype)
     model.load_state(arrays, "ema." if use_ema else "param.")
     return model

@@ -1,5 +1,6 @@
 """Toy datasets, netpbm I/O, config parsing, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -368,6 +369,28 @@ class TestCli:
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert shard_sizes == [3] + [2] * 6 + [5] * 6
         assert len(outs[0]) == 6 and outs[0] == outs[1]
+
+    def test_sample_manifest_hashes_the_checkpoint_it_sampled_from(self, tmp_path, monkeypatch):
+        # a run that keeps only its latest checkpoint may save over it while sampling runs
+        model = DualLevelModel(toy_config(), seed=3)
+        state = TR.init_state(model, TR.TrainConfig(align_weight=0.0))
+        ckpt = tmp_path / "m.ckpt"
+        TR.save_checkpoint(ckpt, model, state)
+        sampled = ckpt.read_bytes()
+        load_model = TR.load_model
+
+        def load_then_save_over(*args, **kwargs):
+            loaded = load_model(*args, **kwargs)
+            state.step += 1
+            TR.save_checkpoint(ckpt, model, state)
+            return loaded
+
+        monkeypatch.setattr(TR, "load_model", load_then_save_over)
+        assert cli.main(["sample", "--checkpoint", str(ckpt), "--class", "1", "--count", "1",
+                         "--steps", "1", "--out", str(tmp_path / "s")]) == 0
+        assert ckpt.read_bytes() != sampled
+        manifest = json.loads((tmp_path / "s/manifest.json").read_text())
+        assert manifest["checkpoint_sha256"] == hashlib.sha256(sampled).hexdigest()
 
     def test_make_data(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

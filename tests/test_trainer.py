@@ -2,13 +2,19 @@
 
 import ctypes
 import dataclasses
+import errno
 import functools
 import mmap
 import os
 import resource
 import signal
+import stat
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -697,6 +703,162 @@ class TestCheckpointFormat:
         assert exc.value.offset == at
 
 
+def fresh_process(*script: str) -> subprocess.CompletedProcess:
+    """The parts of ``script`` run in a fresh Python process that imports this dualdit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(M.__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get(
+        "PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", "".join(map(textwrap.dedent, script))],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def printed(res: subprocess.CompletedProcess) -> float:
+    assert res.returncode == 0, res.stderr
+    return float(res.stdout)
+
+
+DESK_PROCESS = """
+    import os, resource
+    import numpy as np
+    from dualdit import flow as F, model as M, samplers as S, trainer as TR
+
+    def faults():
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    model = M.DualLevelModel(M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64,
+                                           pixel_dim=8, heads=4, patch_size=4, num_classes=3,
+                                           resolution=(16, 16), channels=3), seed=11)
+    rng = np.random.default_rng(12)
+    y = np.arange(32) % 3
+"""  # the start of a fresh process: the desk model (DESK) and a minor-fault count
+
+
+def deleted_links(pid, path) -> int:
+    """How many descriptors of process ``pid`` ("self" for this one) link to the file that
+    ``path`` named before it was replaced."""
+    fds = f"/proc/{pid}/fd"
+    links = 0
+    for fd in os.listdir(fds):
+        try:
+            links += os.readlink(os.path.join(fds, fd)) == f"{os.path.realpath(path)} (deleted)"
+        except FileNotFoundError:  # closed meanwhile
+            pass
+    return links
+
+
+class TestKeepLatestSave:
+    """A save over a checkpoint leaves the freeing of the replaced file to a thread."""
+
+    @pytest.fixture(autouse=True)
+    def _no_release_under_way(self):
+        C._join_releases()  # the releases of earlier tests' saves
+
+    def test_a_save_over_a_file_returns_before_the_old_file_is_freed(self, tmp_path,
+                                                                      monkeypatch):
+        path = tmp_path / "c.ckpt"
+        C.save(path, {"kind": "old"}, {"rec": np.zeros(1 << 16, np.float32)})
+        gate, close = threading.Event(), os.close
+
+        def gated_close(fd):
+            if threading.current_thread().name == C._RELEASE:
+                gate.wait(30)
+            close(fd)
+
+        monkeypatch.setattr(os, "close", gated_close)
+        C.save(path, {"kind": "new"}, {"rec": np.ones(1 << 16, np.float32)})
+        [release] = [t for t in threading.enumerate() if t.name == C._RELEASE]
+        try:
+            header, arrays = C.load(path)
+            assert header["kind"] == "new" and (arrays["rec"] == 1).all()
+            assert os.listdir(tmp_path) == ["c.ckpt"]
+            assert release.is_alive() and deleted_links("self", path) == 1
+        finally:
+            gate.set()
+            release.join(30)
+        assert not release.is_alive() and deleted_links("self", path) == 0
+
+    @pytest.mark.parametrize("kind", ["missing", "symlink", "fifo", "unreadable"])
+    def test_anything_but_a_regular_file_is_replaced_plainly(self, tmp_path, monkeypatch, kind):
+        path, target = tmp_path / "c.ckpt", tmp_path / "target"
+        target.write_bytes(b"old")
+        if kind == "symlink":
+            path.symlink_to(target)
+        elif kind == "fifo":
+            os.mkfifo(path)  # opened without O_NONBLOCK, it would wait for a writer
+        elif kind == "unreadable":
+            path.write_bytes(b"old")
+            path.chmod(0)
+            if os.geteuid() == 0:  # root reads it anyway; refuse it as the kernel refuses others
+                real_open = os.open
+
+                def refusing_open(name, *args, **kwargs):
+                    if os.fspath(name) == str(path):
+                        raise PermissionError(errno.EACCES, "Permission denied", str(path))
+                    return real_open(name, *args, **kwargs)
+
+                monkeypatch.setattr(os, "open", refusing_open)
+        started, start = [], threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda self: started.append(self.name) or start(self))
+
+        def too_long(signum, frame):
+            pytest.fail("the save blocked")  # not an OSError, which the save would take as a refusal
+
+        handler = signal.signal(signal.SIGALRM, too_long)
+        signal.alarm(10)
+        try:
+            C.save(path, {"kind": "new"}, {"rec": np.ones(4, np.float32)})
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, handler)
+        assert C._RELEASE not in started
+        assert stat.S_ISREG(os.lstat(path).st_mode) and C.load(path)[0]["kind"] == "new"
+        assert target.read_bytes() == b"old"
+        assert sorted(os.listdir(tmp_path)) == ["c.ckpt", "target"]
+
+    def test_a_worker_forked_right_after_a_save_holds_no_link_to_the_replaced_file(
+            self, two_cores, tmp_path, monkeypatch):
+        model, dataset, cfg = crit9_setup(1)
+        path = tmp_path / "c.ckpt"
+        state = TR.init_state(model, cfg)
+        TR.save_checkpoint(path, model, state)
+        close = os.close
+
+        def slow_close(fd):
+            if threading.current_thread().name == C._RELEASE:
+                time.sleep(0.5)  # so that the fork below comes while the old file is held
+            close(fd)
+
+        monkeypatch.setattr(os, "close", slow_close)
+        TR.save_checkpoint(path, model, state)
+        TR.train(model, dataset, cfg, state=TR.init_state(model, cfg))
+        assert two_cores == [4, 4]
+        assert [deleted_links(w.pid, path) for w in model._shard_workers] == [0]
+        assert deleted_links("self", path) == 0
+
+    def test_a_kill_after_the_replace_leaves_the_new_checkpoint_whole(self, tmp_path):
+        # the kill comes where the release thread would start: after the rename and the
+        # directory's fsync, before the replaced file is closed
+        res = fresh_process(DESK_PROCESS, f"""
+            import signal, threading
+            root = {str(tmp_path)!r}
+            state = TR.init_state(model, TR.TrainConfig(align_weight=0.0))
+            os.mkdir(os.path.join(root, "run"))
+            path = os.path.join(root, "run", "latest.ckpt")
+            TR.save_checkpoint(path, model, state)
+            state.arena.flat[...] += 1.0
+            state.step = 7
+            TR.save_checkpoint(os.path.join(root, "expected.ckpt"), model, state)
+            threading.Thread.start = lambda self: os.kill(os.getpid(), signal.SIGKILL)
+            TR.save_checkpoint(path, model, state)
+        """)
+        assert res.returncode == -signal.SIGKILL, res.stderr
+        assert os.listdir(tmp_path / "run") == ["latest.ckpt"]
+        saved = (tmp_path / "run/latest.ckpt").read_bytes()
+        assert saved == (tmp_path / "expected.ckpt").read_bytes()
+        assert C.load(tmp_path / "run/latest.ckpt")[0]["step"] == 7
+
+
 def crit9_setup(total_steps, align_weight=0.0, **train_kw):
     """The criterion-9 tiny recipe (tests/test_acceptance.py)."""
     spec = D.ToyDatasetSpec(kind="solid_color", num_classes=2, resolution=(4, 4),
@@ -787,20 +949,42 @@ def two_cores(shard_sizes, monkeypatch):
 
 
 class TestHeapPolicy:
-    def test_a_shard_keeps_its_heap_between_calls(self):
-        # left to glibc's adaptive thresholds, each call faults about 12K pages in again
+    """Every process that runs a shard keeps its heap; each check starts a fresh process,
+    since the policy, once set, holds for the rest of the process."""
+
+    @pytest.fixture(autouse=True)
+    def _mallopt(self):
+        # left to glibc's adaptive thresholds, each call faults thousands of pages in again
         if getattr(ctypes.CDLL(None), "mallopt", None) is None:
             pytest.skip("libc has no mallopt")
-        model = DualLevelModel(DESK, seed=11)
-        rng = np.random.default_rng(12)
-        batch = F.make_flow_batch(rng.uniform(-1, 1, (32, 3, 16, 16)).astype(np.float32), rng)
-        y = np.arange(32) % DESK.num_classes
-        for _ in range(3):
-            TR._loss_shard(model, batch, y, 1.0, 0)
-        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        for _ in range(10):
-            TR._loss_shard(model, batch, y, 1.0, 0)
-        assert (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10 < 100
+
+    def test_a_train_shard_keeps_its_heap_between_calls(self):
+        faults = printed(fresh_process(DESK_PROCESS, """
+            batch = F.make_flow_batch(rng.uniform(-1, 1, (32, 3, 16, 16)).astype(np.float32), rng)
+            parts = [(batch, y, 1.0, 0)]
+            for _ in range(3):
+                model.run_shards(TR._loss_shard, parts)
+            before = faults()
+            for _ in range(10):
+                model.run_shards(TR._loss_shard, parts)
+            print((faults() - before) / 10)
+        """))
+        assert faults < 100
+
+    def test_a_sampling_shard_keeps_its_heap_between_forwards(self):
+        # one usable core, so that the B=32 batch runs as one shard in this process
+        faults = printed(fresh_process(DESK_PROCESS, """
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            cfg = S.SamplerConfig(solver="euler", steps=10)
+            forward, calls = model.forward, []
+            model.forward = lambda *args, **kwargs: calls.append(1) or forward(*args, **kwargs)
+            S.sample(model, S.SamplerConfig(solver="euler", steps=3), y)
+            calls.clear()
+            before = faults()
+            S.sample(model, cfg, y)
+            print((faults() - before) / len(calls))
+        """))
+        assert faults < 100
 
 
 class TestShardedTraining:
