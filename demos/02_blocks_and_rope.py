@@ -15,9 +15,9 @@ rng = np.random.default_rng(0)
 
 # --- 2D RoPE: rotations preserve norms and encode relative offsets --------
 
-# the tables are built once per grid; attention rotates q and k inside its
-# record with the private helper shown here
-rope = B.rope_tables(B.grid_positions(3, 3), 8, np.float64)
+# the tables are built once per grid, tiled over the heads; attention rotates
+# q and k inside its record with the private helper shown here
+rope = B.rope_tables(B.grid_positions(3, 3), 2, 8, np.float64)
 x = rng.normal(size=(1, 9, 2, 8))  # 3x3 grid, 2 heads, head_dim 8
 y = T._rotate(x, *rope)
 print("per-token norms preserved:",
@@ -26,7 +26,7 @@ print("per-token norms preserved:",
 q, k = rng.normal(size=8), rng.normal(size=8)
 
 def rotated(v, r, c):
-    buf = np.zeros((1, 9, 1, 8))
+    buf = np.zeros((1, 9, 2, 8))  # v in head 0
     buf[0, r * 3 + c, 0] = v
     return T._rotate(buf, *rope)[0, r * 3 + c, 0]
 
@@ -41,7 +41,7 @@ store = B.ParamStore(np.random.default_rng(1), dtype=np.float64)
 params = B.make_attention_params(store, "attn", 8)
 for t in store.params.values():
     t.data[...] = rng.normal(scale=0.3, size=t.shape)
-rope = B.rope_tables(B.grid_positions(1, 3), 4, np.float64)  # 2 heads of width 4
+rope = B.rope_tables(B.grid_positions(1, 3), 2, 4, np.float64)  # 2 heads of width 4
 out = B.multi_head_attention(Tensor(rng.normal(size=(1, 3, 8))), params, 2, rope)
 print("attention output shape:", out.shape)
 
@@ -55,7 +55,7 @@ for name, t in store.params.items():
 s = Tensor(rng.normal(size=(1, 4, 8)))
 c = Tensor(rng.normal(size=(1, 1, 8)))
 out = s
-rope = B.rope_tables(B.grid_positions(2, 2), 4, np.float64)
+rope = B.rope_tables(B.grid_positions(2, 2), 2, 4, np.float64)
 for p in blocks:
     out = B.dit_block(out, c, p, 2, rope)
 print("4-block stack at init is the identity:", bool(np.all(out.data == s.data)))

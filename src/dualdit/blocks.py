@@ -1,7 +1,10 @@
 """Reusable transformer pieces: attention with 2D RoPE, MLP, AdaLN modulation.
 
 The arithmetic runs in the fused ``dualdit.tensor`` primitives. The model
-decides ``heads`` and the RoPE tables once and passes them to each block.
+decides ``heads`` and the RoPE tables, (T, heads, head_dim) each, once and
+passes them to each block. A modulation head's six AdaLN groups come from
+one ``T.modulation`` record, each group a view with a contiguous run per
+conditioning row.
 
 Blocks are pure functions over parameter containers; the containers hold
 named ``Tensor`` leaves registered in a ``ParamStore`` so every learnable
@@ -15,30 +18,51 @@ from typing import Optional
 
 import numpy as np
 
+from . import checkpoint as ckpt
 from . import tensor as T
 from .errors import ConfigError
 from .tensor import Tensor
 
 
 class ParamStore:
-    """Flat name -> Tensor registry for all learnable parameters."""
+    """Flat name -> Tensor registry for all learnable parameters.
 
-    def __init__(self, rng: np.random.Generator, dtype=np.float32):
+    A store starts each new leaf as its ``init`` says, drawing from ``rng``;
+    one built by ``of_records`` takes each leaf from a checkpoint's records
+    instead, and draws nothing.
+    """
+
+    def __init__(self, rng: Optional[np.random.Generator], dtype=np.float32):
         self.rng = rng
         self.dtype = np.dtype(dtype)
         self.params: dict[str, Tensor] = {}
+        self.records: Optional[dict[str, np.ndarray]] = None
+        self.prefix = ""
 
-    def tensor(self, name: str, shape, init: str = "normal") -> Tensor:
-        """A new leaf, all zeros or drawn from N(0, 0.02^2)."""
+    @classmethod
+    def of_records(cls, arrays: dict[str, np.ndarray], prefix: str, dtype=np.float32) -> "ParamStore":
+        """A store whose leaf ``name`` is a copy of record ``prefix + name`` of ``arrays``, checked
+        against its shape (``checkpoint.get_record``)."""
+        store = cls(None, dtype)
+        store.records, store.prefix = arrays, prefix
+        return store
+
+    def tensor(self, name: str, shape, init="normal") -> Tensor:
+        """A new leaf: all zeros, drawn from N(0, 0.02^2), or the array ``init``; a record of a
+        store ``of_records``."""
         if name in self.params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        if init == "zeros":
+        if self.records is not None:
+            data = np.array(ckpt.get_record(self.records, self.prefix + name, shape), self.dtype)
+        elif isinstance(init, np.ndarray):
+            data = init.astype(self.dtype).reshape(shape)
+        elif init == "zeros":
             data = np.zeros(shape, dtype=self.dtype)
         elif init == "normal":
             data = (self.rng.normal(scale=0.02, size=shape)).astype(self.dtype)
         else:
             raise ConfigError(f"unknown init {init!r}")
-        t = Tensor(data, requires_grad=True)
+        t = Tensor(data, requires_grad=True, dtype=self.dtype)
         self.params[name] = t
         return t
 
@@ -71,13 +95,15 @@ def grid_positions(rows: int, cols: int, repeat: int = 1) -> np.ndarray:
     return np.repeat(cells, repeat, axis=0)
 
 
-def rope_tables(positions: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Axial 2D RoPE tables (C, S), each (T, 1, head_dim), broadcast over heads.
+def rope_tables(positions: np.ndarray, heads: int, head_dim: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Axial 2D RoPE tables (C, S), each (T, heads, head_dim): every head turns alike.
 
     Pair i of a head vector (lanes 2i, 2i+1) turns by angle theta_i: C holds
     cos(theta_i) in both lanes, S holds (-sin(theta_i), sin(theta_i)), as
     ``tensor._rotate`` takes them. The first half of the pairs turns by
-    angles of the token's row, the second half by angles of its column.
+    angles of the token's row, the second half by angles of its column. The
+    tables are tiled over the heads, so that the rotation of (B, T, heads,
+    head_dim) queries and keys runs inner loops of heads * head_dim elements.
     """
     if head_dim % 4 != 0:
         raise ConfigError(f"2D RoPE needs head_dim divisible by 4, got {head_dim}")
@@ -91,7 +117,7 @@ def rope_tables(positions: np.ndarray, head_dim: int, dtype) -> tuple[np.ndarray
     cos, sin = np.cos(theta), np.sin(theta)
     C = np.repeat(cos, 2, axis=1)
     S = np.stack([-sin, sin], axis=2).reshape(C.shape)
-    return C[:, None, :], S[:, None, :]
+    return np.tile(C[:, None, :], (1, heads, 1)), np.tile(S[:, None, :], (1, heads, 1))
 
 
 @dataclass
@@ -155,13 +181,18 @@ class ModulationParams:
 MOD_GROUP_ORDER = ("beta1", "gamma1", "alpha1", "beta2", "gamma2", "alpha2")
 
 
-def split_modulation(theta: Tensor, width: int) -> ModulationParams:
-    """Partition the last axis of theta into the six fixed-order groups."""
-    if theta.shape[-1] != 6 * width:
+def split_modulation(c: Tensor, head: LinearParams, rows: int, width: int) -> ModulationParams:
+    """The six fixed-order AdaLN groups of modulation head ``head`` on conditioning ``c``.
+
+    The head's columns are laid out (rows, 6, width). Each group is (M, rows,
+    width), M the rows of c's leading axes, and all six are one
+    ``T.modulation`` record.
+    """
+    if head.w.shape[-1] != rows * 6 * width:
         raise ConfigError(
-            f"modulation head output width {theta.shape[-1]} != 6*{width}"
+            f"modulation head output width {head.w.shape[-1]} != {rows}*6*{width}"
         )
-    return ModulationParams(*T.split_lastdim(theta, 6))
+    return ModulationParams(*T.modulation(c, head.w, head.b, rows, len(MOD_GROUP_ORDER)))
 
 
 @dataclass
@@ -171,8 +202,9 @@ class DitBlockParams:
     ada: LinearParams  # conditioning -> six per-feature groups
 
 
-def init_modulation_head(head: LinearParams, width: int):
-    """Scale-one start: weights and gates/shifts zero, gamma groups one.
+def make_modulation_head(store: ParamStore, name: str, d_in: int, rows: int, width: int) -> LinearParams:
+    """A head of ``rows`` rows of the six groups of ``width`` per conditioning vector, laid out
+    (rows, 6, width), with a scale-one start: weights and gates/shifts zero, gamma groups one.
 
     Gates alone make a fresh block the identity; starting the gammas at one
     keeps the branch outputs (and hence the gate gradients) nonzero, without
@@ -180,21 +212,19 @@ def init_modulation_head(head: LinearParams, width: int):
     branch gradient while gamma=beta=0 zeroes the branch output that alpha's
     own gradient needs.
     """
-    head.w.data[...] = 0.0
-    bias = head.b.data.reshape(-1, 6, width)
-    bias[...] = 0.0
+    bias = np.zeros((rows, 6, width))
     bias[:, MOD_GROUP_ORDER.index("gamma1"), :] = 1.0
     bias[:, MOD_GROUP_ORDER.index("gamma2"), :] = 1.0
+    return LinearParams(w=store.tensor(f"{name}.w", (d_in, rows * 6 * width), init="zeros"),
+                        b=store.tensor(f"{name}.b", (rows * 6 * width,), init=bias.reshape(-1)))
 
 
 def make_dit_block_params(store: ParamStore, name: str, width: int) -> DitBlockParams:
-    params = DitBlockParams(
+    return DitBlockParams(
         attn=make_attention_params(store, f"{name}.attn", width),
         mlp=make_mlp_params(store, f"{name}.mlp", width),
-        ada=store.linear(f"{name}.ada", width, 6 * width, init="zeros"),
+        ada=make_modulation_head(store, f"{name}.ada", width, 1, width),
     )
-    init_modulation_head(params.ada, width)
-    return params
 
 
 def dit_block(s: Tensor, c: Tensor, params: DitBlockParams, heads: int,
@@ -207,13 +237,13 @@ def dit_block(s: Tensor, c: Tensor, params: DitBlockParams, heads: int,
     RMSNorm and the gamma/beta modulation are one ``T.modulated_rms_norm``
     record, the gated sums one ``T.gated_residual`` record each.
 
-    The six groups come from a linear head on SiLU(c), broadcast over the
-    token axis. The head starts with zero weights and a scale-one bias
-    (see init_modulation_head), so a fresh block is the identity map through
-    its zero gates while still passing gradient to them.
+    The six groups come from a one-row modulation head on SiLU(c), broadcast
+    over the token axis. The head starts with zero weights and a scale-one
+    bias (see make_modulation_head), so a fresh block is the identity map
+    through its zero gates while still passing gradient to them.
     """
     D = s.shape[-1]
-    mods = split_modulation(linear(T.silu(c), params.ada), D)
+    mods = split_modulation(T.silu(c), params.ada, 1, D)
     h = T.modulated_rms_norm(s, mods.gamma1, mods.beta1)
     s = T.gated_residual(s, mods.alpha1, multi_head_attention(h, params.attn, heads, rope))
     h = T.modulated_rms_norm(s, mods.gamma2, mods.beta2)

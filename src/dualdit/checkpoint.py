@@ -146,14 +146,19 @@ def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
 
 
 def parse(blob: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
-    """The header and the records of the checkpoint file whose bytes are ``blob``."""
+    """The header and the records of the checkpoint file whose bytes are ``blob``.
+
+    Each record is a view of ``blob``: nothing is copied, and a caller copies
+    the records it keeps.
+    """
     off = 0
+    view = memoryview(blob)
 
     def take(n, what):
         nonlocal off
         if off + n > len(blob):
             raise ParseError(f"checkpoint truncated while reading {what}", offset=off)
-        chunk = blob[off:off + n]
+        chunk = view[off:off + n]
         off += n
         return chunk
 
@@ -163,7 +168,7 @@ def parse(blob: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", offset=8)
     try:
-        header = json.loads(take(hdr_len, "header").decode("utf-8"))
+        header = json.loads(str(take(hdr_len, "header"), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"bad header JSON: {e}", offset=16) from None
     if not isinstance(header, dict):
@@ -174,7 +179,7 @@ def parse(blob: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
         (name_len,) = struct.unpack("<H", take(2, "name length"))
         name_at = off
         try:
-            name = take(name_len, "name").decode("utf-8")
+            name = str(take(name_len, "name"), "utf-8")
         except UnicodeDecodeError:
             raise ParseError("record name is not UTF-8", offset=name_at) from None
         if name in arrays:
@@ -187,7 +192,7 @@ def parse(blob: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
         # a zero dim leaves no data to read, yet numpy refuses a shape whose other dims overflow
         if n == 0 and 4 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
             raise ParseError(f"record {name!r} has dims {dims}, too large for any array", offset=dims_at)
-        arrays[name] = data.reshape(dims).copy()
+        arrays[name] = data.reshape(dims)
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after last record", offset=off)
     return header, arrays

@@ -24,7 +24,6 @@ from typing import Optional
 import numpy as np
 
 from . import blocks as B
-from . import checkpoint as ckpt
 from . import tensor as T
 from .errors import ConfigError, InputError, ShapeError
 from .tensor import Tensor
@@ -171,9 +170,24 @@ class DualLevelModel:
     """All learnable parameters plus the forward pass, for any variant."""
 
     def __init__(self, config: ModelConfig, seed: int = 0, dtype=np.float32):
+        self._build(config, B.ParamStore(np.random.default_rng(seed), dtype=dtype))
+
+    @classmethod
+    def from_records(cls, config: ModelConfig, arrays: dict[str, np.ndarray], prefix: str,
+                     dtype=np.float32) -> "DualLevelModel":
+        """The model whose parameter ``name`` is record ``prefix + name`` of ``arrays``.
+
+        Nothing is drawn, and each parameter copies its record once. A missing
+        record raises ``ConfigError`` and one of another shape ``ShapeError``
+        (``checkpoint.get_record``).
+        """
+        model = cls.__new__(cls)
+        model._build(config, B.ParamStore.of_records(arrays, prefix, dtype=dtype))
+        return model
+
+    def _build(self, config: ModelConfig, store: B.ParamStore):
         self.config = config
-        self.dtype = np.dtype(dtype)
-        store = B.ParamStore(np.random.default_rng(seed), dtype=dtype)
+        self.dtype = store.dtype
         cfg = config
         D, Dp, p, C = cfg.patch_dim, cfg.pixel_dim, cfg.patch_size, cfg.channels
 
@@ -188,21 +202,19 @@ class DualLevelModel:
             for i in range(cfg.patch_depth)
         ]
         head_dim = D // cfg.heads
-        self.patch_rope = B.rope_tables(B.grid_positions(*cfg.grid), head_dim, self.dtype)
+        self.patch_rope = B.rope_tables(B.grid_positions(*cfg.grid), cfg.heads, head_dim, self.dtype)
 
         self.pit_blocks: list[PitBlockParams] = []
         if cfg.variant == "vanilla_dit":
             self.patch_head = store.linear("patch_head", D, p * p * C, init="zeros")
         else:
             self.pixel_embed = store.linear("pixel_embed", C, Dp)
-            mod_width = self._mod_group_count() * 6 * Dp
             has_attn = cfg.variant != "no_pixel_attention"
             for i in range(cfg.pixel_depth):
                 blk = PitBlockParams(
-                    mod=store.linear(f"pit.{i}.mod", D, mod_width, init="zeros"),
+                    mod=B.make_modulation_head(store, f"pit.{i}.mod", D, self._mod_group_count(), Dp),
                     mlp=B.make_mlp_params(store, f"pit.{i}.mlp", Dp),
                 )
-                B.init_modulation_head(blk.mod, Dp)
                 if has_attn:
                     k = cfg.ptc_rate
                     blk.compact = store.linear(f"pit.{i}.compact", p * p * Dp, k * D)
@@ -214,7 +226,7 @@ class DualLevelModel:
             self.pixel_rope = None
             if cfg.rope_pixel_pathway:
                 self.pixel_rope = B.rope_tables(B.grid_positions(*cfg.grid, cfg.ptc_rate),
-                                                head_dim, self.dtype)
+                                                cfg.heads, head_dim, self.dtype)
 
         self.params = store.params
         self._arena: Optional[Arena] = None
@@ -259,16 +271,12 @@ class DualLevelModel:
         return s
 
     def pixel_adaln_params(self, cond_flat: Tensor, blk: PitBlockParams) -> B.ModulationParams:
-        """Map conditioning rows through the block's head into the six groups.
+        """Map conditioning rows through the block's head into the six groups, (BL, rows, D_pix) each.
 
         Pixel-wise heads emit p*p distinct rows per token; patch-wise/global
         heads emit one row that broadcasts over the pixel axis.
         """
-        cfg = self.config
-        rows = self._mod_group_count()
-        theta = B.linear(cond_flat, blk.mod)
-        theta = theta.reshape(theta.shape[0], rows, 6 * cfg.pixel_dim)
-        return B.split_modulation(theta, cfg.pixel_dim)
+        return B.split_modulation(cond_flat, blk.mod, self._mod_group_count(), self.config.pixel_dim)
 
     def pit_block(self, X: Tensor, cond_flat: Tensor, blk: PitBlockParams,
                   diag: Optional[dict] = None) -> Tensor:
@@ -428,11 +436,6 @@ class DualLevelModel:
 
     def num_params(self) -> int:
         return sum(t.size for t in self.params.values())
-
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str):
-        """Copy record ``prefix + name`` of ``arrays`` into each parameter."""
-        for name, t in self.params.items():
-            t.data[...] = ckpt.get_record(arrays, prefix + name, t.shape)
 
 
 # ---------------------------------------------------------------------------

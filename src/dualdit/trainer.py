@@ -374,9 +374,8 @@ def save_checkpoint(path, model: DualLevelModel, state: TrainState):
 def load_model(checkpoint, dtype=np.float32, use_ema: bool = True) -> DualLevelModel:
     """The model a checkpoint holds: ``checkpoint`` is its path, or the bytes of its file."""
     header, arrays = ckpt.parse(checkpoint) if isinstance(checkpoint, bytes) else ckpt.load(checkpoint)
-    model = DualLevelModel(config_from_dict(header.get("model_config")), dtype=dtype)
-    model.load_state(arrays, "ema." if use_ema else "param.")
-    return model
+    return DualLevelModel.from_records(config_from_dict(header.get("model_config")), arrays,
+                                       "ema." if use_ema else "param.", dtype=dtype)
 
 
 def restore_state(model: DualLevelModel, state: TrainState, path):

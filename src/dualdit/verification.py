@@ -33,10 +33,10 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
     w43 = _rand((4, 3), 100, requires_grad=False)
     w34 = _rand((3, 4), 101, requires_grad=False)
     w26 = _rand((2, 6), 102, requires_grad=False)
-    w42s = [_rand((4, 2), 106 + 10 * i, requires_grad=False) for i in range(3)]
-    rope = B.rope_tables(B.grid_positions(2, 2), 4, np.float64)
+    # two heads of width 4: the tables are tiled over them
+    rope = B.rope_tables(B.grid_positions(2, 2), 2, 4, np.float64)
     # three tokens: rows of three scores, whose maximum folds the odd one in
-    rope_odd = B.rope_tables(B.grid_positions(3, 1), 4, np.float64)
+    rope_odd = B.rope_tables(B.grid_positions(3, 1), 2, 4, np.float64)
 
     def check(fn, shape=(4, 3), seed=1, step=1e-5):
         return lambda: grad_check(fn, _rand(shape, seed), step=step)
@@ -51,12 +51,21 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
             )
         return run
 
-    def split_loss(used):
-        """Weighted outputs ``used`` of a 3-way split; the others stay unused."""
-        def f(x):
-            outs = T.split_lastdim(x, 3)
-            return sum(((outs[i] * w42s[i]).sum() for i in used), Tensor(0.0))
+    def modulation_loss(rows, used):
+        """Weighted outputs ``used`` of a head of ``rows`` rows of six 2-wide groups on 3 inputs;
+        the others stay unused."""
+        ws = [_rand((2, rows, 2), 120 + 10 * rows + i, requires_grad=False) for i in range(6)]
+
+        def f(x, w, b):
+            outs = T.modulation(x, w, b, rows, 6)
+            return sum(((outs[i] * ws[i]).sum() for i in used), Tensor(0.0))
         return f
+
+    def modulation_check():
+        """Every input, with each output used alone and all six together, at 1 and 4 rows."""
+        return max(check_each(modulation_loss(rows, used), [(2, 3), (3, rows * 12), (rows * 12,)],
+                              seed=5)()
+                   for rows in (1, 4) for used in ((0,), (1,), (2,), (3,), (4,), (5,), range(6)))
 
     w235 = _rand((2, 3, 5), 107, requires_grad=False)
     w234 = _rand((2, 3, 4), 108, requires_grad=False)
@@ -74,13 +83,12 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
         ("matmul", check(lambda x: (T.matmul(x, w34) * Tensor(np.ones((4, 4)))).sum())),
         ("reshape", check(lambda x: (x.reshape(2, 6) * w26).sum())),
         ("transpose", check(lambda x: (x.transpose(1, 0) * w34).sum())),
-        ("split_lastdim", lambda: max(grad_check(split_loss(used), _rand((4, 6), 5))
-                                      for used in ((0,), (1,), (2,), (0, 1, 2)))),
         ("gather_rows", check(lambda x: (T.gather_rows(x, np.array([0, 2, 2, 1])) * w43).sum(), shape=(3, 3), seed=3)),
         ("sum", check(lambda x: (x.sum(axis=0) * _rand((3,), 105, False)).sum())),
         ("mean", check(lambda x: x.mean())),
         ("linear", check_each(lambda x, w, b: (T.linear(x, w, b) * w235).sum(),
                               [(2, 3, 4), (4, 5), (5,)], seed=4)),
+        ("modulation", modulation_check),
         ("modulated_rms_norm", check_each(
             lambda x, gamma, beta: (T.modulated_rms_norm(x, gamma, beta) * w234).sum(),
             [(2, 3, 4), (2, 1, 4), (2, 1, 4)], seed=7)),
@@ -105,7 +113,7 @@ def block_checks() -> list[tuple[str, Callable[[], float]]]:
             t.data[...] = rng.normal(scale=0.2, size=t.shape)
         s = Tensor(rng.normal(size=(1, 4, 8)))
         c = Tensor(rng.normal(size=(1, 1, 8)))
-        rope = B.rope_tables(B.grid_positions(2, 2), 4, np.float64)
+        rope = B.rope_tables(B.grid_positions(2, 2), 2, 4, np.float64)
         worst = 0.0
         for t in store.params.values():
             worst = max(worst, grad_check(

@@ -41,8 +41,8 @@ class TestRmsNorm:
         np.testing.assert_allclose(normalized(x), expected, rtol=1e-12)
 
 
-def grid_rope(rows, cols, head_dim=8):
-    return B.rope_tables(B.grid_positions(rows, cols), head_dim, np.float64)
+def grid_rope(rows, cols, heads, head_dim=8):
+    return B.rope_tables(B.grid_positions(rows, cols), heads, head_dim, np.float64)
 
 
 class TestGridPositions:
@@ -52,9 +52,13 @@ class TestGridPositions:
         np.testing.assert_array_equal(B.grid_positions(2, 3, repeat=2), expected)
 
     def test_tables_shape_and_dtype(self):
-        C, S = B.rope_tables(B.grid_positions(2, 3, repeat=2), 8, np.float32)
-        assert C.shape == S.shape == (12, 1, 8)
+        C, S = B.rope_tables(B.grid_positions(2, 3, repeat=2), 3, 8, np.float32)
+        assert C.shape == S.shape == (12, 3, 8)
         assert C.dtype == S.dtype == np.float32
+        assert C.flags.c_contiguous and S.flags.c_contiguous
+        # every head turns alike
+        np.testing.assert_array_equal(C, np.broadcast_to(C[:, :1], C.shape))
+        np.testing.assert_array_equal(S, np.broadcast_to(S[:, :1], S.shape))
         # cos in both lanes of a pair, (-sin, sin) across it
         np.testing.assert_array_equal(C[..., 0::2], C[..., 1::2])
         np.testing.assert_array_equal(S[..., 0::2], -S[..., 1::2])
@@ -67,13 +71,13 @@ class TestRope2d:
     def test_origin_token_unchanged(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(1, 4, 1, 8))
-        y = T._rotate(x, *grid_rope(2, 2))
+        y = T._rotate(x, *grid_rope(2, 2, 1))
         np.testing.assert_allclose(y[0, 0], x[0, 0], atol=1e-15)
 
     def test_isometry_per_token(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(2, 9, 3, 8))
-        y = T._rotate(x, *grid_rope(3, 3))
+        y = T._rotate(x, *grid_rope(3, 3, 3))
         np.testing.assert_allclose(np.linalg.norm(y, axis=-1), np.linalg.norm(x, axis=-1), atol=1e-12)
 
     def test_inner_product_depends_on_offset_only(self):
@@ -81,7 +85,7 @@ class TestRope2d:
         rng = np.random.default_rng(2)
         q = rng.normal(size=8)
         k = rng.normal(size=8)
-        rope = grid_rope(3, 3)
+        rope = grid_rope(3, 3, 1)
 
         def rotated(v, r, c):
             grid = np.zeros((1, 9, 1, 8))
@@ -98,7 +102,7 @@ class TestRope2d:
     def test_attention_rotates_q_and_k(self):
         rng = np.random.default_rng(3)
         q, k, v = (rng.normal(size=(2, 4, 16)) for _ in range(3))
-        rope = grid_rope(2, 2)
+        rope = grid_rope(2, 2, 2)
 
         def rot(a):
             return Tensor(T._rotate(a.reshape(2, 4, 2, 8), *rope).reshape(2, 4, 16))
@@ -110,12 +114,17 @@ class TestRope2d:
     def test_bad_sequence_length(self):
         x = Tensor(np.zeros((1, 5, 8)))
         with pytest.raises(ShapeError, match="do not fit"):
-            T.attention(x, x, x, 1, grid_rope(2, 2))
+            T.attention(x, x, x, 1, grid_rope(2, 2, 1))
 
     def test_tables_of_another_head_dim_raise(self):
         x = Tensor(np.zeros((1, 4, 8)))
         with pytest.raises(ShapeError, match="do not fit"):
-            T.attention(x, x, x, 1, grid_rope(2, 2, head_dim=4))
+            T.attention(x, x, x, 1, grid_rope(2, 2, 1, head_dim=4))
+
+    def test_tables_not_tiled_over_the_heads_raise(self):
+        x = Tensor(np.zeros((1, 4, 16)))
+        with pytest.raises(ShapeError, match="do not fit"):
+            T.attention(x, x, x, 2, grid_rope(2, 2, 1))
 
 
 def naive_attention(x, p, heads):
@@ -181,14 +190,14 @@ class TestAttention:
 
     def test_rope_requires_divisible_head_dim(self):
         with pytest.raises(ConfigError, match="divisible by 4"):
-            grid_rope(2, 2, head_dim=2)
+            grid_rope(2, 2, 1, head_dim=2)
 
     def test_attention_grad(self):
         st = store(9)
         p = B.make_attention_params(st, "attn", 8)
         rng = np.random.default_rng(10)
         randomize(st.params, rng)
-        rope = grid_rope(1, 3, head_dim=4)  # 2 heads of width 4
+        rope = grid_rope(1, 3, 2, head_dim=4)  # 2 heads of width 4
         x0 = rng.normal(size=(1, 3, 8))
 
         def f(t):
@@ -257,20 +266,24 @@ class TestAdaln:
         a2 = T.modulated_rms_norm(x, per_pixel, Tensor(np.zeros((2, 4, 3))))
         np.testing.assert_array_equal(a2.data, b.data)
 
-    def test_split_modulation_order_and_width(self):
-        theta = Tensor(np.arange(12, dtype=np.float64).reshape(1, 12))
-        mods = B.split_modulation(theta, 2)
-        np.testing.assert_array_equal(mods.beta1.data, [[0, 1]])
-        np.testing.assert_array_equal(mods.gamma1.data, [[2, 3]])
-        np.testing.assert_array_equal(mods.alpha1.data, [[4, 5]])
-        np.testing.assert_array_equal(mods.alpha2.data, [[10, 11]])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_split_modulation_order_and_width(self, rows):
+        # a zero weight leaves the bias, laid out (rows, 6, width)
+        head = B.LinearParams(w=Tensor(np.zeros((3, rows * 12))),
+                              b=Tensor(np.arange(rows * 12, dtype=np.float64)))
+        mods = B.split_modulation(Tensor(np.ones((1, 3))), head, rows, 2)
+        starts = 12 * np.arange(rows)[:, None]
+        np.testing.assert_array_equal(mods.beta1.data, [starts + [0, 1]])
+        np.testing.assert_array_equal(mods.gamma1.data, [starts + [2, 3]])
+        np.testing.assert_array_equal(mods.alpha1.data, [starts + [4, 5]])
+        np.testing.assert_array_equal(mods.alpha2.data, [starts + [10, 11]])
         with pytest.raises(ConfigError, match="6"):
-            B.split_modulation(theta, 3)
+            B.split_modulation(Tensor(np.ones((1, 3))), head, rows, 3)
 
 
 class TestDitBlock:
     # width 8 on a 2x2 grid: 2 heads of width 4
-    ROPE = grid_rope(2, 2, head_dim=4)
+    ROPE = grid_rope(2, 2, 2, head_dim=4)
 
     def test_zero_gates_identity(self):
         st = store(20)

@@ -421,10 +421,10 @@ class TestRopeGeometry:
         m = toy_model(ptc_rate=k)
         gh, gw = m.config.grid
         C, S = m.pixel_rope
-        want_C, want_S = B.rope_tables(B.grid_positions(gh, gw, k), 8, np.float64)
+        want_C, want_S = B.rope_tables(B.grid_positions(gh, gw, k), 2, 8, np.float64)
         np.testing.assert_array_equal(C, want_C)
         np.testing.assert_array_equal(S, want_S)
-        assert C.shape == (gh * gw * k, 1, 8)
+        assert C.shape == (gh * gw * k, 2, 8)  # 2 heads of width 8
 
     def test_pixel_tables_absent_without_pixel_rope(self):
         assert toy_model(rope_pixel_pathway=False).pixel_rope is None

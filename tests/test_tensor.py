@@ -146,7 +146,7 @@ class TestGradChecks:
     def test_rope_grad(self):
         # the rotation's backward runs inside attention's; q and k pass through it
         q, k, v = (rand((2, 4, 16), seed=51 + i) for i in range(3))  # (B, T, 2 heads x 8), 2x2 grid
-        rope = B.rope_tables(B.grid_positions(2, 2), 8, np.float64)
+        rope = B.rope_tables(B.grid_positions(2, 2), 2, 8, np.float64)
         w = rand((2, 4, 16), 54)
         assert grad_check(lambda t: (T.attention(t, k, v, 2, rope) * w).sum(), q) <= 1e-6
         assert grad_check(lambda t: (T.attention(q, t, v, 2, rope) * w).sum(), k) <= 1e-6
@@ -171,7 +171,7 @@ class TestExactRotationAndRowMax:
     @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("layout", ["contiguous", "transposed", "head_major"])
     def test_rotation_is_the_interleaved_formula_bit_for_bit(self, dtype, inverse, layout):
-        C, S = B.rope_tables(B.grid_positions(3, 3), 8, dtype)  # 9 tokens
+        C, S = B.rope_tables(B.grid_positions(3, 3), 3, 8, dtype)  # 9 tokens, 3 heads
         x = np.random.default_rng(5).normal(size=(2, 9, 3, 8)).astype(dtype)
         if layout == "transposed":
             # the (B, T, heads, head_dim) view of a (B, heads, T, head_dim) array
@@ -185,7 +185,7 @@ class TestExactRotationAndRowMax:
         assert y.tobytes() == want.tobytes()
 
     def test_inverse_undoes_the_rotation(self):
-        C, S = B.rope_tables(B.grid_positions(3, 3), 8, np.float64)
+        C, S = B.rope_tables(B.grid_positions(3, 3), 3, 8, np.float64)
         x = np.random.default_rng(6).normal(size=(2, 9, 3, 8))
         np.testing.assert_allclose(T._rotate(T._rotate(x, C, S), C, S, inverse=True), x,
                                    rtol=0, atol=1e-14)
@@ -241,7 +241,7 @@ class TestTapeSemantics:
         x = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
         with Tape() as tape:
             y = x * x
-            a, b = T.split_lastdim(y + x, 2)  # one record, two outputs
+            a, b = T.modulation(y + x, Tensor(np.ones((4, 4))), Tensor(np.zeros(4)), 1, 2)  # two outputs
             z = (a * b + a).sum()
         assert any(isinstance(rec[0], tuple) for rec in tape.records)
         made_by = {}
@@ -394,40 +394,44 @@ class TestBackwardInto:
 
 
 class TestMultiOutputRecords:
-    """One record with several outputs: T.split_lastdim and Tape.backward around it."""
+    """One record with several outputs: T.modulation and Tape.backward around it."""
 
     def test_views_in_order(self):
-        theta = Tensor(np.arange(12.0).reshape(2, 6), requires_grad=True)
+        x, w, b = rand((2, 3), 20), rand((3, 24), 21), rand((24,), 22)
         with Tape() as tape:
-            parts = T.split_lastdim(theta, 3)
+            parts = T.modulation(x, w, b, 2, 3)
         assert len(tape) == 1
+        want = (x.data @ w.data + b.data).reshape(2, 2, 3, 4)  # columns (rows, groups, width)
         for i, part in enumerate(parts):
-            assert part.requires_grad and np.shares_memory(part.data, theta.data)
-            np.testing.assert_array_equal(part.data, theta.data[:, 2 * i:2 * i + 2])
-        with pytest.raises(ShapeError, match="does not split"):
-            T.split_lastdim(theta, 4)
+            assert part.requires_grad and np.may_share_memory(part.data, parts[0].data)  # views of one product
+            assert part.shape == (2, 2, 4) and part.data[1].flags.c_contiguous
+            np.testing.assert_allclose(part.data, want[:, :, i], rtol=1e-12)
+        with pytest.raises(ShapeError, match="do not make a head"):
+            T.modulation(x, w, b, 5, 3)
 
     def test_two_of_six_outputs_match_central_differences(self):
-        x = rand((3, 12), 21)
-        w1, w4 = rand((3, 2), 22), rand((3, 2), 23)
+        x, w, b = rand((3, 4), 21), rand((4, 24), 22), rand((24,), 23)
+        w1, w4 = rand((3, 2, 2), 24), rand((3, 2, 2), 25)
 
         def loss():
-            parts = T.split_lastdim(x, 6)
+            parts = T.modulation(x, w, b, 2, 6)
             return (parts[1] * w1).sum() + (T.gelu_tanh(parts[4]) * w4).sum()
 
         backward(loss)
-        np.testing.assert_allclose(x.grad, fd_grad(loss, x), rtol=1e-7, atol=1e-9)
-        unused = np.ones(12, dtype=bool)
-        unused[2:4] = unused[8:10] = False
-        np.testing.assert_array_equal(x.grad[:, unused], 0.0)
+        for t in (x, w, b):
+            np.testing.assert_allclose(t.grad, fd_grad(loss, t), rtol=1e-7, atol=1e-9)
+        unused = np.ones((2, 6, 2), dtype=bool)
+        unused[:, [1, 4]] = False
+        np.testing.assert_array_equal(w.grad[:, unused.reshape(-1)], 0.0)
+        np.testing.assert_array_equal(b.grad[unused.reshape(-1)], 0.0)
 
     def test_two_backward_passes_accumulate(self):
-        x = rand((2, 6), 24)
-        w = rand((2, 2), 25)
+        x, w, b = rand((2, 3), 24), rand((3, 6), 26), rand((6,), 27)
+        v = rand((2, 1, 2), 25)
 
         def loss():
-            a, b, c = T.split_lastdim(x, 3)
-            return (a * w + T.silu(c) * b).sum()
+            p, q, r = T.modulation(x, w, b, 1, 3)
+            return (p * v + T.silu(r) * q).sum()
 
         backward(loss)
         first = x.grad.copy()
@@ -451,6 +455,86 @@ class TestMultiOutputRecords:
         np.testing.assert_array_equal(outs[passed].grad, want)
 
 
+def composed_modulation(x, w, b, rows, groups):
+    """A modulation head as linear, reshape to (M, rows, groups * width), and one record that
+    cuts the last axis into the groups (zeros for a group without a gradient)."""
+    theta = T.linear(x, w, b)
+    theta = theta.reshape(-1, rows, theta.shape[-1] // rows)
+    width = theta.shape[-1] // groups
+    outs = tuple(Tensor(theta.data[..., i * width:(i + 1) * width]) for i in range(groups))
+
+    def bw(gs):
+        full = np.empty_like(theta.data)
+        for i, g in enumerate(gs):
+            full[..., i * width:(i + 1) * width] = 0.0 if g is None else g
+        return (full,)
+
+    return T._record(outs, (theta,), bw)
+
+
+class TestLongRunsKeepTheBits:
+    """The group-major modulation head, the tiled RoPE tables and the wide bias add compute the
+    bytes of the plain computations they replace, in float32."""
+
+    @pytest.mark.parametrize("x_shape, rows, width", [
+        ((512, 64), 16, 8),    # desk pixel head: 512 patch tokens -> 16 pixels x 6 x 8
+        ((32, 1, 64), 1, 64),  # desk patch head: B x 1 x 384
+    ])
+    def test_modulation_is_the_composed_head(self, x_shape, rows, width):
+        rng = np.random.default_rng(60)
+        d_in = x_shape[-1]
+        data = [rng.normal(size=shape).astype(np.float32)
+                for shape in (x_shape, (d_in, rows * 6 * width), (rows * 6 * width,))]
+        weights = [Tensor(rng.normal(size=(int(np.prod(x_shape[:-1])), rows, width)).astype(np.float32))
+                   for _ in range(6)]
+        results = []
+        for head in (T.modulation, composed_modulation):
+            x, w, b = (Tensor(a.copy(), requires_grad=True) for a in data)
+            with Tape() as tape:
+                outs = head(x, w, b, rows, 6)
+                loss = sum(((o * v).sum() for o, v in zip(outs, weights)), Tensor(np.float32(0.0)))
+            tape.backward(loss)
+            results.append([o.data.tobytes() for o in outs] + [t.grad.tobytes() for t in (x, w, b)])
+        assert results[0] == results[1]
+
+    def test_attention_rotates_as_untiled_tables_do(self):
+        rng = np.random.default_rng(61)
+        batch, heads, hd = 4, 4, 16
+        positions = B.grid_positions(4, 4, 2)  # a desk pixel block at ptc_rate 2
+        tokens, D = len(positions), heads * hd
+        C, S = B.rope_tables(positions, heads, hd, np.float32)
+        C1, S1 = B.rope_tables(positions, 1, hd, np.float32)
+        q, k, v, w = (rng.normal(size=(batch, tokens, D)).astype(np.float32) for _ in range(4))
+        split = (batch, tokens, heads, hd)
+
+        def rot(a, inverse=False):
+            return T._rotate(a.reshape(split), C1, S1, inverse=inverse).reshape(a.shape)
+
+        got = [Tensor(a.copy(), requires_grad=True) for a in (q, k, v)]
+        with Tape() as tape:
+            out = T.attention(*got, heads, (C, S))
+            loss = (out * Tensor(w)).sum()
+        tape.backward(loss)
+        ref = [Tensor(a, requires_grad=True) for a in (rot(q), rot(k), v)]
+        with Tape() as tape:
+            out_ref = T.attention(*ref, heads)
+            loss = (out_ref * Tensor(w)).sum()
+        tape.backward(loss)
+        assert out.data.tobytes() == out_ref.data.tobytes()
+        for a, r, inverse in zip(got, ref, (True, True, None)):
+            want = r.grad if inverse is None else rot(r.grad, inverse=True)
+            assert a.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d_out", [3, 8, 32])
+    @pytest.mark.parametrize("rows", [512, 100])  # 100: not a multiple of 16, row by row
+    def test_linear_bias_add_is_the_plain_sum(self, d_out, rows):
+        rng = np.random.default_rng(d_out)
+        x, w, b = (rng.normal(size=shape).astype(np.float32)
+                   for shape in ((rows, 8), (8, d_out), (d_out,)))
+        y = T.linear(Tensor(x), Tensor(w), Tensor(b)).data
+        assert y.tobytes() == (np.matmul(x, w) + b).tobytes()
+
+
 class TestTapeSize:
     def test_desk_loss_step_records(self):
         # every primitive the loss of one criterion-8 train step records; a later
@@ -463,7 +547,7 @@ class TestTapeSize:
         batch = F.make_flow_batch(x0, rng, F.logit_normal_sampler())
         with Tape() as tape:
             F.loss_diffusion(model, batch, rng.integers(0, 4, 64))
-        assert len(tape) == 123
+        assert len(tape) == 115
 
 
 class TestPrimitiveRegistry:

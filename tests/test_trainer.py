@@ -576,6 +576,21 @@ class TestCheckpointing:
             TR.load_model(ck)
         TR.load_model(ck, use_ema=False)  # the raw parameters are all there
 
+    def test_load_model_copies_the_records_and_draws_nothing(self, tmp_path, monkeypatch):
+        model, dataset, cfg = tiny_setup(total_steps=2)
+        state = TR.train(model, dataset, cfg)
+        ck = tmp_path / "m.ckpt"
+        TR.save_checkpoint(ck, model, state)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("load_model drew an initialisation")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        loaded = TR.load_model(ck)
+        # the records are views of the file's bytes; the parameters are copies
+        assert all(t.data.flags.writeable for t in loaded.params.values())
+        assert loaded.arena.flat.tobytes() == state.arena.ema.tobytes()
+
     def test_load_model_uses_ema(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=5)
         state = TR.train(model, dataset, cfg)

@@ -5,6 +5,11 @@
     taskset -c 0 python3 tools/fingerprint.py        # with one usable core
 
 It hashes:
+- for every model variant, and for the pixel-wise one at ptc_rate 2 and 4
+  as well: a taped float32 forward of the toy model (8x8, p=2, D=16,
+  D_pix=4, 2 heads) on a batch of 8, from seeded parameters with noise
+  added, then the backward of a weighted sum of its output: one line over
+  the output and every parameter's gradient, in parameter order;
 - one guided sample batch of the desk model (B=64, 16x16, p=4, N=4, M=2,
   D=64, D_pix=8, 4 heads; flow_dpm, 32 steps, cfg 2 on (0.1, 1.0)), from
   seeded parameters with noise added, so that no branch is silenced by its
@@ -54,10 +59,32 @@ def main(argv=None) -> int:
     from dualdit import model as M
     from dualdit import samplers as S
     from dualdit import trainer as TR
+    from dualdit.tensor import Tape, Tensor
 
     desk = M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64, pixel_dim=8, heads=4,
                          patch_size=4, num_classes=3, resolution=(16, 16), channels=3)
     print(f"usable cores: {len(os.sched_getaffinity(0))}")
+
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(8, 3, 8, 8)).astype(np.float32)
+    t, y = rng.uniform(size=8), np.arange(8) % 3
+    w = Tensor(rng.normal(size=x.shape).astype(np.float32))
+    cases = [(variant, 1) for variant in M.VARIANTS] + [("C_pixelwise", 2), ("C_pixelwise", 4)]
+    for variant, k in cases:
+        model = M.DualLevelModel(M.toy_config(variant=variant, ptc_rate=k), seed=21)
+        noise = np.random.default_rng(22)
+        for p in model.params.values():
+            p.data += noise.normal(scale=0.02, size=p.shape).astype(p.data.dtype)
+        with Tape() as tape:
+            out = model.forward(x, t, y)
+            loss = (out * w).sum()
+        grads = {p: np.empty_like(p.data) for p in model.params.values()}
+        tape.backward(loss, into=grads)  # zeros for a parameter the output does not reach
+        digest = hashlib.sha256(out.data.tobytes())
+        for g in grads.values():
+            digest.update(g.tobytes())
+        print(f"{digest.hexdigest()}  taped toy forward+grads {variant} ptc_rate {k} B=8 "
+              f"{out.data.dtype}")
 
     model = M.DualLevelModel(desk, seed=11)
     rng = np.random.default_rng(12)
