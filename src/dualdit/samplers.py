@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import model as M
+from . import shards
 from .errors import ConfigError, NumericError, ShapeError
 
 SOLVERS = ("euler", "heun", "flow_dpm")
@@ -193,11 +193,11 @@ def sample(model, cfg: SamplerConfig, y: np.ndarray,
     to [-1, 1]; intermediate states are left untouched.
 
     No trajectory depends on its batch neighbours, so the batch is cut by
-    ``dualdit.model.shard_cuts`` and each shard runs its whole ODE through
-    the model's ``run_shards``, one join per batch; a call waits for another
-    thread's shards. The images are bitwise the serial run's wherever BLAS
-    runs a shard's GEMMs with the whole batch's kernel. ``initial``, when
-    given, holds the starting noise: len(y)*C*H*W values.
+    ``shards.shard_cuts`` and each shard runs its whole ODE through
+    ``shards.run``, one join per batch; a call waits for another thread's
+    shards. The images are bitwise the serial run's wherever BLAS runs a
+    shard's GEMMs with the whole batch's kernel. ``initial``, when given,
+    holds the starting noise: len(y)*C*H*W values.
     """
     mc = model.config
     y = np.asarray(y, dtype=np.int64)
@@ -212,8 +212,8 @@ def sample(model, cfg: SamplerConfig, y: np.ndarray,
             raise ShapeError(f"initial holds {x.size} values; {n} images of "
                              f"{shape[1:]} need {math.prod(shape)}")
         x = x.reshape(shape).copy()
-    cuts = M.shard_cuts(n, mc.resolution[0] * mc.resolution[1])
-    outs = model.run_shards(_sample_rows, [(x[a:b], y[a:b], cfg) for a, b in cuts])
+    cuts = shards.shard_cuts(n, mc.resolution[0] * mc.resolution[1])
+    outs = shards.run(model, _sample_rows, [(x[a:b], y[a:b], cfg) for a, b in cuts])
     failed = [out for out in outs if isinstance(out, NumericError)]
     if failed:
         # the serial run stops at the first step where any row fails

@@ -7,34 +7,16 @@ re-derived from (seed, epoch) so a mid-epoch resume sees the same batches.
 Each step draws its noise and timesteps, then its label dropout; a step that
 raises puts the generator back, so calling ``train`` again redoes it exactly.
 
-Each step splits its batch by ``model.shard_cuts`` and runs the shards'
-losses and backwards data-parallel through ``model.run_shards``; the
-gradients are summed in shard order. A run's bits therefore depend on the
-number of usable cores, as they do on the BLAS build; with one shard the
-step is the serial one.
-
-``init_state`` builds every train state, and with it a new arena on the
-model (``DualLevelModel.share``, ``model.Arena``): shared mappings that
-hold every trained tensor (the alignment projector's too, when the term is
-on) and, in the same layout, every other buffer of the step: each shard's
-gradients, AdamW's moments, the EMA and the scratch. The workers are
-forked after them, so every process of the step reads and writes the same
-buffers; a state built before a later ``init_state`` on the same model is
-refused by ``train``, ``save_checkpoint`` and ``restore_state``.
-
-The step's tail runs over blocks of whole tensors (``tail_blocks``), each
-process of the step over its own span of them (``tail_spans``), in two
-phases: A sums the shards' gradients in shard order and returns each
-tensor's sum of squares; the caller adds those in the arena's order to the
-clip norm; B clips, then applies AdamW and the EMA in place. The
-elementwise ops round as per-tensor loops do, so the bits do not depend on
-the blocks or the spans. A step whose phase B fails leaves the state
-half-updated (``TrainState.torn``), and only ``restore_state`` makes it
-train again. A checkpoint's records are views of the arena's buffers
-(``TrainState.records``), so a save reads them and a resume writes them
-in place. Every process that runs a shard keeps its heap between steps
-(``model.keep_heap``, set by ``run_shards``), so that a step's time does not
-hinge on when its temporaries are freed.
+Each step runs its shards' losses and backwards, then the optimizer tail,
+through the data-parallel runtime (``shards``), whose docstring tells how
+the work splits and what that does to the bits. ``init_state`` builds every
+train state, and with it a new arena on the model (``shards.share``); a
+state built before a later ``init_state`` on the same model is refused by
+``train``, ``save_checkpoint`` and ``restore_state``. A step whose phase B
+fails leaves the state half-updated (``TrainState.torn``), and only
+``restore_state`` makes it train again. A checkpoint's records are views of
+the arena's buffers (``TrainState.records``), so a save reads them and a
+resume writes them in place.
 
 ``save_checkpoint`` returns once the file durably holds the new checkpoint.
 Saving over an earlier one, as a run that keeps only its latest does, leaves
@@ -53,9 +35,9 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import flow as F
+from . import shards
 from .errors import ConfigError, InputError, NumericError, ParseError
-from .model import (Arena, DualLevelModel, config_from_dict, config_to_dict, shard_cuts,
-                    writable)
+from .model import DualLevelModel, config_from_dict, config_to_dict
 from .tensor import Tape, Tensor
 
 METRICS_HEADER = "step,loss,loss_diff,loss_repa,grad_norm,lr"
@@ -114,7 +96,7 @@ class TrainConfig:
 class TrainState:
     step: int
     rng: np.random.Generator
-    arena: Arena  # the model's when init_state built the state; it holds the optimizer's buffers
+    arena: shards.Arena  # the model's when init_state built the state; holds the optimizer's buffers
     projector: Optional[F.AlignmentProjector] = None  # set when the alignment term is on
     skipped_steps: int = 0
     consecutive_bad: int = 0
@@ -173,71 +155,7 @@ def ema_update(ema: np.ndarray, p: np.ndarray, decay: float, tmp: np.ndarray):
     np.add(ema, tmp, out=ema)
 
 
-# Elements a block of the optimizer tail holds at least. A block's slices of
-# the buffers that phase B passes over (gradient, parameters, both moments,
-# EMA, scratch: 768 KB at 32K float32 elements) stay in a core's 2 MB L2
-# through its 17 passes; whole buffers would go out to memory on each, and
-# smaller blocks pay more numpy calls. Desk train step on a 2-core Xeon,
-# median ms from the end of the loss shards to the end of the step, 2 cores
-# (150 steps) / 1 core (100 steps): 16K 1.30/1.87, 32K 1.26/1.77, 64K
-# 1.36/1.65, 128K 1.21/1.74, one block (no split) 2.44/2.20. From 32K to
-# 128K the differences are within the noise of repeated runs.
-_TAIL_BLOCK = 32768
-
-Block = tuple[slice, list[slice]]  # a block's elements, and the arena parts among them
-
-
-def tail_blocks(arena: Arena) -> list[Block]:
-    """The arena's parts in order, grouped into blocks of at least ``_TAIL_BLOCK`` elements.
-
-    A block runs from its first part's start to the next block's, so the
-    blocks cover every element once, alignment gaps included; only the last
-    may hold fewer. A part is never split, so its sum of squares is the one
-    a whole-tensor sum rounds to.
-    """
-    blocks, parts, start = [], [], 0
-    for i, part in enumerate(arena.parts):
-        parts.append(part)
-        stop = arena.parts[i + 1].start if i + 1 < len(arena.parts) else arena.flat.size
-        if stop - start >= _TAIL_BLOCK or i + 1 == len(arena.parts):
-            blocks.append((slice(start, stop), parts))
-            parts, start = [], stop
-    return blocks
-
-
-def tail_spans(blocks: list[Block], n: int) -> list[list[Block]]:
-    """``blocks`` cut into at most ``n`` contiguous, non-empty spans of about equal size.
-
-    Span i takes the blocks that start in the i-th of ``n`` equal element
-    ranges, so a block across a cut goes to the earlier span: the caller's
-    span starts first, a worker's after the request reaches it. A span
-    left empty is dropped.
-    """
-    size = blocks[-1][0].stop
-    spans = [[] for _ in range(n)]
-    for block in blocks:
-        spans[block[0].start * n // size].append(block)
-    return [span for span in spans if span]
-
-
-def sum_squares(arena: Arena, shards: int, blocks: list[Block]) -> list[float]:
-    """Phase A of the tail over ``blocks``: each part's float64 sum of squared gradients.
-
-    Adds the gradient buffers of shards 1 to ``shards`` - 1 into that of
-    shard 0 first, in shard order, so that a run's bits do not depend on
-    timing.
-    """
-    sums = []
-    for span, parts in blocks:
-        g = writable(arena.grads[0], span)
-        for other in arena.grads[1:shards]:
-            np.add(g, other[span], out=g)
-        np.square(g, out=writable(arena.sq, span), dtype=np.float64)
-        sums += [float(arena.sq[part].sum()) for part in parts]
-    return sums
-
-
-def clip_scale(arena: Arena, sums: list[float],
+def clip_scale(arena: shards.Arena, sums: list[float],
                max_norm: float) -> tuple[float, Optional[float]]:
     """The gradients' global L2 norm from phase A's sums, and the scale phase B clips them by.
 
@@ -256,11 +174,11 @@ def clip_scale(arena: Arena, sums: list[float],
     return norm, (max_norm / norm if norm > max_norm else None)
 
 
-def step_blocks(arena: Arena, blocks: list[Block], scale: Optional[float], step: int,
-                lr: float, cfg: TrainConfig):
+def step_blocks(arena: shards.Arena, blocks: list[shards.Block], scale: Optional[float],
+                step: int, lr: float, cfg: TrainConfig):
     """Phase B of the tail over ``blocks``: clip by ``scale``, then AdamW and the EMA, in place."""
     for span, _ in blocks:
-        p, g, m, v, ema, tmp = (writable(buf, span) for buf in (
+        p, g, m, v, ema, tmp = (shards.writable(buf, span) for buf in (
             arena.flat, arena.grads[0], arena.m, arena.v, arena.ema, arena.tmp))
         if scale is not None:
             np.multiply(g, scale, out=g)
@@ -268,12 +186,7 @@ def step_blocks(arena: Arena, blocks: list[Block], scale: Optional[float], step:
         ema_update(ema, p, cfg.ema_decay, tmp)
 
 
-def _sum_span(model: DualLevelModel, blocks: list[Block], shards: int) -> list[float]:
-    """``sum_squares`` over the model's arena."""
-    return sum_squares(model.arena, shards, blocks)
-
-
-def _step_span(model: DualLevelModel, blocks: list[Block], *args):
+def _step_span(model: DualLevelModel, blocks: list[shards.Block], *args):
     """``step_blocks`` over the model's arena."""
     step_blocks(model.arena, blocks, *args)
 
@@ -293,7 +206,7 @@ def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight
 
     ``batch`` holds the shard's rows as ``FlowBatch.rows`` cuts them. The
     backward of ``weight`` times its loss writes straight into the arena's
-    gradient buffer ``shard`` (``DualLevelModel.shard_grads``). ``weight``
+    gradient buffer ``shard``, which ``shards.run`` made. ``weight``
     is the shard's share of the batch, so that the shards' gradients sum to
     those of the batch mean. ``align`` is (tap, align_weight) when the step
     has the alignment term, computed with the projector in ``model.arena``
@@ -316,7 +229,7 @@ def _loss_shard(model: DualLevelModel, batch: F.FlowBatch, y: np.ndarray, weight
             loss_repa = float(loss_align.data)
     losses = (float(loss_diff.data), loss_repa, float(loss.data), zero_pairs)
     if np.isfinite(losses[2]):
-        grads = arena.views(model.shard_grads(shard + 1)[shard])
+        grads = arena.views(arena.grads[shard])
         tape.backward(loss, seed=weight, into=dict(zip(arena.params.values(), grads.values())))
     return losses
 
@@ -326,16 +239,15 @@ def init_state(model: DualLevelModel, cfg: TrainConfig) -> TrainState:
 
     With ``cfg.align_weight`` positive the state holds the alignment
     projector, seeded by ``cfg.seed``. Each call builds the model a new
-    arena over its parameters and the projector's (``DualLevelModel.share``),
-    whose buffers the state steps; a state built before is then refused. To
+    arena over its parameters and the projector's (``shards.share``), whose
+    buffers the state steps; a state built before is then refused. To
     resume, pass the state to ``restore_state``.
     """
     projector = None
     if cfg.align_weight > 0.0:
         projector = F.AlignmentProjector(model.config.patch_dim, cfg.align_feature_dim,
                                          seed=cfg.seed, dtype=model.dtype)
-    model.share({} if projector is None else projector.params)
-    arena = model.arena
+    arena = shards.share(model, {} if projector is None else projector.params)
     arena.ema[...] = arena.flat
     return TrainState(step=0, rng=np.random.default_rng(np.random.PCG64(cfg.seed)), arena=arena,
                       projector=projector)
@@ -487,7 +399,7 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
             )
         align = (tap, cfg.align_weight)
     H, W = mcfg.resolution
-    blocks = tail_blocks(state.arena)
+    blocks = shards.tail_blocks(state.arena)
 
     images = np.asarray(dataset.images)
     labels = np.asarray(dataset.labels)
@@ -532,19 +444,19 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
                 if cfg.class_drop_prob > 0.0:
                     # classifier-free guidance: some labels become the null class
                     y = np.where(state.rng.random(len(y)) < cfg.class_drop_prob, mcfg.null_class, y)
-                cuts = shard_cuts(len(y), H * W)
+                cuts = shards.shard_cuts(len(y), H * W)
                 parts = [(batch.rows(a, b, with_x0=align is not None), y[a:b], (b - a) / len(y),
                           i, align)
                          for i, (a, b) in enumerate(cuts)]
-                shard_losses = model.run_shards(_loss_shard, parts)
+                shard_losses = shards.run(model, _loss_shard, parts)
                 for i, key in enumerate(("loss_diff", "loss_repa", "loss")):
                     row[key] = sum((b - a) / len(y) * losses[i]
                                    for (a, b), losses in zip(cuts, shard_losses))
                 row["zero_norm_pairs"] = sum(losses[3] for losses in shard_losses)
                 if not all(np.isfinite(losses[2]) for losses in shard_losses):
                     raise NumericError("loss non-finite")
-                spans = tail_spans(blocks, len(parts))
-                sums = model.run_shards(_sum_span, [(span, len(parts)) for span in spans])
+                spans = shards.tail_spans(blocks, len(parts))
+                sums = shards.run(model, shards._sum_span, [(span, len(parts)) for span in spans])
                 row["grad_norm"], scale = clip_scale(state.arena, sum(sums, []), max_norm)
             except NumericError as exc:
                 bad = exc
@@ -564,8 +476,8 @@ def train(model: DualLevelModel, dataset, cfg: TrainConfig, state: Optional[Trai
             else:
                 state.consecutive_bad = 0
                 state.torn = True  # until every span has stepped
-                model.run_shards(_step_span, [(span, scale, state.step + 1, lr, cfg)
-                                              for span in spans])
+                shards.run(model, _step_span, [(span, scale, state.step + 1, lr, cfg)
+                                               for span in spans])
                 state.torn = False
 
             state.metrics.append(row)

@@ -13,7 +13,7 @@ import pytest
 from dualdit import cli
 from dualdit import config as C
 from dualdit import data as D
-from dualdit import model as M
+from dualdit import shards as SH
 from dualdit import trainer as TR
 from dualdit.model import DualLevelModel, toy_config
 from dualdit.errors import ConfigError, InputError, ParseError
@@ -351,7 +351,7 @@ class TestCli:
             "step00000004.ckpt": full["step00000004.ckpt"], "final.ckpt": full["final.ckpt"]}
 
     def test_sample_writes_the_same_bytes_on_one_core_and_two(self, tmp_path, shard_sizes,
-                                                              monkeypatch):
+                                                              monkeypatch, usable_cores):
         # in this process, so that the usable cores can be patched
         model = DualLevelModel(toy_config(), seed=3)
         rng = np.random.default_rng(4)
@@ -359,11 +359,11 @@ class TestCli:
             t.data += rng.normal(scale=0.1, size=t.shape).astype(np.float32)
         ckpt = tmp_path / "m.ckpt"
         TR.save_checkpoint(ckpt, model, TR.init_state(model, TR.TrainConfig(align_weight=0.0)))
-        monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 1)  # so that 5 small images split
+        monkeypatch.setattr(SH, "_MIN_SHARD_PIXELS", 1)  # so that 5 small images split
         outs = []
-        for cores in ({0, 1}, {0}):
-            monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid, cores=cores: cores)
-            out = tmp_path / f"cores{len(cores)}"
+        for cores in (2, 1):
+            usable_cores(cores)
+            out = tmp_path / f"cores{cores}"
             assert cli.main(["sample", "--checkpoint", str(ckpt), "--class", "1", "--count", "5",
                              "--steps", "3", "--cfg", "2", "--seed", "9", "--out", str(out)]) == 0
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})

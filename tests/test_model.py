@@ -1,5 +1,6 @@
 """Dual-level model: token plumbing, conditioning, variants, gradients."""
 
+import ast
 import gc
 import os
 import signal
@@ -11,6 +12,7 @@ import pytest
 from dualdit import blocks as B
 from dualdit import model as M
 from dualdit import samplers as S
+from dualdit import shards as SH
 from dualdit.errors import ConfigError, InputError, NumericError, ShapeError
 from dualdit.tensor import Tape, Tensor, grad_check
 
@@ -222,10 +224,6 @@ def desk_inputs(batch):
 GUIDED = dict(cfg_scale=2.0, cfg_interval=(0.1, 1.0))
 
 
-def one_core(monkeypatch):
-    monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0})
-
-
 def no_workers(*args):
     raise AssertionError("forked a worker")
 
@@ -234,28 +232,29 @@ class TestShardedForward:
     """Sampling runs a shard of trajectories per core, each shard's forwards
     whole in one process; ``forward`` itself never shards."""
 
-    def test_desk_batch_is_bitwise_serial(self, shard_sizes, monkeypatch):
+    def test_desk_batch_is_bitwise_serial(self, shard_sizes, usable_cores):
         model = desk_model()
         y = np.arange(64) % 3
         cfgs = [S.SamplerConfig(solver=solver, steps=3, seed=60, **GUIDED) for solver in S.SOLVERS]
         sharded = [S.sample(model, cfg, y) for cfg in cfgs]
         # each solver: the worker's shard, then this process's forwards (euler 6, heun 11, flow_dpm 6)
         assert shard_sizes == [32] * (1 + 6 + 1 + 11 + 1 + 6)
-        one_core(monkeypatch)
+        usable_cores(1)
         for cfg, images in zip(cfgs, sharded):
             assert images.tobytes() == S.sample(model, cfg, y).tobytes(), cfg.solver
 
     @pytest.mark.parametrize("variant", M.VARIANTS)
     @pytest.mark.parametrize("ptc_rate", [1, 2])
-    def test_toy_odd_batch_is_bitwise_serial(self, shard_sizes, monkeypatch, variant, ptc_rate):
-        monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 1)
+    def test_toy_odd_batch_is_bitwise_serial(self, shard_sizes, monkeypatch, usable_cores, variant,
+                                          ptc_rate):
+        monkeypatch.setattr(SH, "_MIN_SHARD_PIXELS", 1)
         m = toy_model(seed=63, variant=variant, ptc_rate=ptc_rate)
         randomize_all(m, np.random.default_rng(64))
         cfg = S.SamplerConfig(solver="flow_dpm", steps=2, cfg_scale=2.0, seed=65)
         y = np.arange(5) % 4
         sharded = S.sample(m, cfg, y)
         assert shard_sizes == [3] + [2] * 4
-        one_core(monkeypatch)
+        usable_cores(1)
         assert sharded.tobytes() == S.sample(m, cfg, y).tobytes()
 
     def test_guided_sample_is_bitwise_serial(self, shard_sizes, monkeypatch):
@@ -263,7 +262,7 @@ class TestShardedForward:
         cfg = S.SamplerConfig(solver="flow_dpm", steps=4, seed=66, **GUIDED)
         sharded = S.sample(model, cfg, np.arange(32) % 3)
         assert shard_sizes == [16] * (1 + 8)
-        monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 10**9)
+        monkeypatch.setattr(SH, "_MIN_SHARD_PIXELS", 10**9)
         assert sharded.tobytes() == S.sample(model, cfg, np.arange(32) % 3).tobytes()
 
     def test_one_call_per_nfe_on_a_wrapped_instance(self, shard_sizes):
@@ -282,7 +281,7 @@ class TestShardedForward:
         assert shard_sizes == [16] * (1 + 61)
 
     def test_taped_forward_forks_no_worker(self, shard_sizes, monkeypatch):
-        monkeypatch.setattr(M, "_ShardWorker", no_workers)
+        monkeypatch.setattr(SH, "_ShardWorker", no_workers)
         model = desk_model()
         x, t, y = desk_inputs(64)
         model.forward(x, t, y)
@@ -294,8 +293,8 @@ class TestShardedForward:
     def test_a_sample_waits_for_another_threads_shards(self, shard_sizes):
         # as a train step does, rather than running in one piece
         model = desk_model()
-        M._SHARD_LOCK.acquire()
-        release = threading.Timer(0.2, M._SHARD_LOCK.release)
+        SH._SHARD_LOCK.acquire()
+        release = threading.Timer(0.2, SH._SHARD_LOCK.release)
         release.start()
         try:
             S.sample(model, S.SamplerConfig(solver="euler", steps=1), np.arange(64) % 3)
@@ -304,7 +303,7 @@ class TestShardedForward:
         assert shard_sizes == [32, 32] and not release.is_alive()
 
     def test_serial_without_the_setter(self, shard_sizes, monkeypatch):
-        monkeypatch.setattr(M, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(SH, "_openblas_threads", lambda: None)
         S.sample(desk_model(), S.SamplerConfig(solver="euler", steps=1), np.arange(64) % 3)
         assert shard_sizes == [64]
 
@@ -316,7 +315,7 @@ class TestShardedForward:
             S.sample(model, S.SamplerConfig(solver="euler", steps=1), y)
         assert shard_sizes == [32, 32]
 
-    def test_worker_rows_that_blow_up_raise_the_serial_error(self, shard_sizes, monkeypatch):
+    def test_worker_rows_that_blow_up_raise_the_serial_error(self, shard_sizes, usable_cores):
         model = desk_model()
         model.class_embed.data[2] = 1e30
         y = np.where(np.arange(64) < 32, 0, 2)  # class 2 only in the worker's rows
@@ -324,12 +323,13 @@ class TestShardedForward:
         with pytest.raises(NumericError) as sharded:
             S.sample(model, cfg, y)
         assert shard_sizes == [32] * (1 + 8)
-        one_core(monkeypatch)
+        usable_cores(1)
         with pytest.raises(NumericError) as serial, np.errstate(over="ignore", invalid="ignore"):
             S.sample(model, cfg, y)
         assert str(sharded.value) == str(serial.value)
 
-    def test_the_earliest_failing_step_of_any_shard_is_named(self, shard_sizes, monkeypatch):
+    def test_the_earliest_failing_step_of_any_shard_is_named(self, shard_sizes, monkeypatch,
+                                                              usable_cores):
         forward = M.DualLevelModel.forward
 
         def failing(self, x, t, y, **kwargs):
@@ -345,12 +345,12 @@ class TestShardedForward:
         with pytest.raises(NumericError, match="at step 1 ") as sharded:
             S.sample(model, cfg, y)
         assert shard_sizes == [32] * (1 + 3)
-        one_core(monkeypatch)
+        usable_cores(1)
         with pytest.raises(NumericError) as serial:
             S.sample(model, cfg, y)
         assert str(sharded.value) == str(serial.value)
 
-    def test_worker_computes_with_current_parameters(self, shard_sizes, monkeypatch):
+    def test_worker_computes_with_current_parameters(self, shard_sizes, usable_cores):
         model = desk_model()
         cfg = S.SamplerConfig(solver="euler", steps=2)
         y = np.arange(64) % 3
@@ -359,37 +359,37 @@ class TestShardedForward:
             p.data *= 1.5
         sharded = S.sample(model, cfg, y)
         assert shard_sizes == [32] * 6
-        one_core(monkeypatch)
+        usable_cores(1)
         assert sharded.tobytes() == S.sample(model, cfg, y).tobytes()
 
-    def test_a_dead_worker_fails_one_sample_and_is_replaced(self, shard_sizes, monkeypatch):
+    def test_a_dead_worker_fails_one_sample_and_is_replaced(self, shard_sizes, usable_cores):
         model = desk_model()
         cfg = S.SamplerConfig(solver="euler", steps=2)
         y = np.arange(64) % 3
         S.sample(model, cfg, y)
-        [worker] = model._shard_workers
+        [worker] = model.arena.workers
         os.kill(worker.pid, signal.SIGKILL)
         with pytest.raises(RuntimeError, match="exited"):
             S.sample(model, cfg, y)
-        assert model._shard_workers == []
+        assert model.arena.workers == []
         with pytest.raises(ChildProcessError):
             os.waitpid(worker.pid, os.WNOHANG)  # reaped
         sharded = S.sample(model, cfg, y)
-        assert model._shard_workers[0].pid != worker.pid
-        one_core(monkeypatch)
+        assert model.arena.workers[0].pid != worker.pid
+        usable_cores(1)
         assert sharded.tobytes() == S.sample(model, cfg, y).tobytes()
 
     def test_worker_stops_with_its_model(self, shard_sizes):
         model = desk_model()
         S.sample(model, S.SamplerConfig(solver="euler", steps=1), np.arange(64) % 3)
-        pid = model._shard_workers[0].pid
+        pid = model.arena.workers[0].pid
         del model
         gc.collect()
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
 
     def test_blas_threads_pinned_then_restored(self, shard_sizes, monkeypatch):
-        get_threads, set_threads = M._openblas_threads()
+        get_threads, set_threads = SH._openblas_threads()
         seen = []
         counted = M.DualLevelModel.forward
 
@@ -413,6 +413,27 @@ class TestShardedForward:
             assert get_threads() == want
         finally:
             set_threads(threads)
+
+
+class TestModuleBoundary:
+    """The model module holds the paper's model; the process runtime lives in ``shards``."""
+
+    def test_the_model_module_imports_no_process_machinery(self):
+        with open(M.__file__) as f:
+            tree = ast.parse(f.read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+        runtime = {"os", "mmap", "multiprocessing", "signal", "ctypes", "threading", "weakref"}
+        assert not imported & runtime
+
+    def test_the_model_class_runs_no_shards(self):
+        gone = {"run_shards", "arena", "share", "shard_grads", "_stop_workers", "_shard_workers"}
+        assert not gone & vars(M.DualLevelModel).keys()
+        assert toy_model().arena is None  # only the runtime builds one
 
 
 class TestRopeGeometry:

@@ -25,6 +25,7 @@ from dualdit import data as D
 from dualdit import flow as F
 from dualdit import model as M
 from dualdit import samplers as S
+from dualdit import shards as SH
 from dualdit import trainer as TR
 from dualdit.errors import ConfigError, InputError, NumericError, ParseError, ShapeError
 from dualdit.model import DualLevelModel, toy_config
@@ -78,24 +79,24 @@ class TestAdamW:
         np.testing.assert_allclose(v, [0.999])
 
 
-def flat_buffers(grads: dict) -> M.Arena:
+def flat_buffers(grads: dict) -> SH.Arena:
     """An arena whose first gradient buffer holds the given gradients by name."""
-    arena = M.Arena({k: Tensor(np.zeros_like(g)) for k, g in grads.items()})
+    arena = SH.Arena({k: Tensor(np.zeros_like(g)) for k, g in grads.items()})
     for view, g in zip(arena.views(arena.grads[0]).values(), grads.values()):
         view[...] = g
     return arena
 
 
-def grads_of(arena: M.Arena) -> dict:
+def grads_of(arena: SH.Arena) -> dict:
     return {k: g.copy() for k, g in arena.views(arena.grads[0]).items()}
 
 
-def tail(arena: M.Arena, max_norm: float, shards: int = 1, **kw) -> float:
+def tail(arena: SH.Arena, max_norm: float, shards: int = 1, **kw) -> float:
     """The optimizer tail over ``arena`` and all its gradient buffers as ``train`` runs it, each
     of ``shards`` spans in turn in this process: its pre-clip norm. ``kw`` overrides AdamW's step
     and learning rate and the config's fields."""
-    spans = TR.tail_spans(TR.tail_blocks(arena), shards)
-    sums = [s for span in spans for s in TR.sum_squares(arena, len(arena.grads), span)]
+    spans = SH.tail_spans(SH.tail_blocks(arena), shards)
+    sums = [s for span in spans for s in SH.sum_squares(arena, len(arena.grads), span)]
     norm, scale = TR.clip_scale(arena, sums, max_norm)
     step, lr = kw.pop("step", 1), kw.pop("lr", 1e-3)
     for span in spans:
@@ -111,7 +112,7 @@ class TestClipping:
 
     def test_identity_below_max(self):
         flat = flat_buffers({"a": np.array([0.3, 0.4])})
-        sums = TR.sum_squares(flat, 1, TR.tail_blocks(flat))
+        sums = SH.sum_squares(flat, 1, SH.tail_blocks(flat))
         assert TR.clip_scale(flat, sums, 1.0) == (pytest.approx(0.5), None)
         np.testing.assert_array_equal(grads_of(flat)["a"], [0.3, 0.4])
         assert tail(flat, 1.0) == pytest.approx(0.5)
@@ -180,7 +181,7 @@ class TestFlatTail:
         # float32 as trained, a clipped norm, decay on, a zero of each sign, one arena
         # over a model's and a projector's tensors; whole or small blocks, one span or
         # three stepped in turn, and each gradient the sum of three shards' buffers
-        monkeypatch.setattr(TR, "_TAIL_BLOCK", block)
+        monkeypatch.setattr(SH, "_TAIL_BLOCK", block)
         rng = np.random.default_rng(4)
         shapes = {"w": (5, 3), "b": (3,), "repa.w": (7, 2), "repa.b": (1,)}
         arena = flat_buffers({k: rng.normal(size=s).astype(np.float32) for k, s in shapes.items()})
@@ -216,9 +217,9 @@ class TestTailPartition:
     @given(sizes=st.lists(st.integers(1, 5000), min_size=1, max_size=30),
            block=st.integers(1, 20000), shards=st.integers(1, 4))
     def test_blocks_tile_the_arena_and_spans_split_them(self, monkeypatch, sizes, block, shards):
-        monkeypatch.setattr(TR, "_TAIL_BLOCK", block)
-        arena = M.Arena({f"t{i}": Tensor(np.zeros(n, np.float32)) for i, n in enumerate(sizes)})
-        blocks = TR.tail_blocks(arena)
+        monkeypatch.setattr(SH, "_TAIL_BLOCK", block)
+        arena = SH.Arena({f"t{i}": Tensor(np.zeros(n, np.float32)) for i, n in enumerate(sizes)})
+        blocks = SH.tail_blocks(arena)
         starts = [part.start for part in arena.parts]
         # from 0 to the arena's end, gaps included, each element in one block
         assert blocks[0][0].start == 0 and blocks[-1][0].stop == arena.flat.size
@@ -229,7 +230,7 @@ class TestTailPartition:
             assert span.start in starts and (span.stop in starts or span.stop == arena.flat.size)
             assert parts == [part for part in arena.parts if span.start <= part.start < span.stop]
             assert i + 1 == len(blocks) or span.stop - span.start >= block
-        spans = TR.tail_spans(blocks, shards)
+        spans = SH.tail_spans(blocks, shards)
         assert 1 <= len(spans) <= shards and all(spans)
         assert [b for span in spans for b in span] == blocks  # contiguous, disjoint, in order
 
@@ -589,7 +590,8 @@ class TestCheckpointing:
         loaded = TR.load_model(ck)
         # the records are views of the file's bytes; the parameters are copies
         assert all(t.data.flags.writeable for t in loaded.params.values())
-        assert loaded.arena.flat.tobytes() == state.arena.ema.tobytes()
+        assert loaded.arena is None  # loading builds no shared buffers
+        assert SH.share(loaded, {}).flat.tobytes() == state.arena.ema.tobytes()
 
     def test_load_model_uses_ema(self, tmp_path):
         model, dataset, cfg = tiny_setup(total_steps=5)
@@ -735,7 +737,7 @@ def printed(res: subprocess.CompletedProcess) -> float:
 DESK_PROCESS = """
     import os, resource
     import numpy as np
-    from dualdit import flow as F, model as M, samplers as S, trainer as TR
+    from dualdit import flow as F, model as M, samplers as S, shards as SH, trainer as TR
 
     def faults():
         return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -848,7 +850,7 @@ class TestKeepLatestSave:
         TR.save_checkpoint(path, model, state)
         TR.train(model, dataset, cfg, state=TR.init_state(model, cfg))
         assert two_cores == [4, 4]
-        assert [deleted_links(w.pid, path) for w in model._shard_workers] == [0]
+        assert [deleted_links(w.pid, path) for w in model.arena.workers] == [0]
         assert deleted_links("self", path) == 0
 
     def test_a_kill_after_the_replace_leaves_the_new_checkpoint_whole(self, tmp_path):
@@ -921,10 +923,10 @@ def write_a_moment(model, write: bool):
     return write
 
 
-def fail_once(monkeypatch, name: str, marker, in_worker: bool, call: int):
-    """Make the ``call``-th call of tail span ``name`` in a worker (or in this process) fail,
-    once in the test: a worker exits, as a killed one would; this process raises."""
-    caller, real, calls = os.getpid(), getattr(TR, name), []
+def fail_once(monkeypatch, module, name: str, marker, in_worker: bool, call: int):
+    """Make the ``call``-th call of tail span ``name`` of ``module`` in a worker (or in this
+    process) fail, once in the test: a worker exits, as a killed one would; this process raises."""
+    caller, real, calls = os.getpid(), getattr(module, name), []
 
     @functools.wraps(real)  # reaches the worker by the real one's name
     def span(model, *args):
@@ -936,7 +938,7 @@ def fail_once(monkeypatch, name: str, marker, in_worker: bool, call: int):
             raise RuntimeError("tail span failed")
         return real(model, *args)
 
-    monkeypatch.setattr(TR, name, span)
+    monkeypatch.setattr(module, name, span)
 
 
 def desk_step_grads(monkeypatch):
@@ -958,8 +960,8 @@ def desk_step_grads(monkeypatch):
 def two_cores(shard_sizes, monkeypatch):
     """Two usable cores and no floor on the shard size, so the tiny recipe shards, and tail
     blocks small enough that every process of a step steps a span of its arena."""
-    monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 1)
-    monkeypatch.setattr(TR, "_TAIL_BLOCK", 256)
+    monkeypatch.setattr(SH, "_MIN_SHARD_PIXELS", 1)
+    monkeypatch.setattr(SH, "_TAIL_BLOCK", 256)
     return shard_sizes
 
 
@@ -977,11 +979,12 @@ class TestHeapPolicy:
         faults = printed(fresh_process(DESK_PROCESS, """
             batch = F.make_flow_batch(rng.uniform(-1, 1, (32, 3, 16, 16)).astype(np.float32), rng)
             parts = [(batch, y, 1.0, 0)]
+            SH.share(model, {})  # the arena the shard's backward writes
             for _ in range(3):
-                model.run_shards(TR._loss_shard, parts)
+                SH.run(model, TR._loss_shard, parts)
             before = faults()
             for _ in range(10):
-                model.run_shards(TR._loss_shard, parts)
+                SH.run(model, TR._loss_shard, parts)
             print((faults() - before) / 10)
         """))
         assert faults < 100
@@ -1037,8 +1040,8 @@ class TestShardedTraining:
         model, dataset, cfg = crit9_setup(0)
         state = TR.init_state(model, cfg)
         forks, maps = [], []
-        fork, mapping = M._ShardWorker.__init__, mmap.mmap
-        monkeypatch.setattr(M._ShardWorker, "__init__",
+        fork, mapping = SH._ShardWorker.__init__, mmap.mmap
+        monkeypatch.setattr(SH._ShardWorker, "__init__",
                             lambda self, model: forks.append(state.step) or fork(self, model))
         monkeypatch.setattr(mmap, "mmap",
                             lambda *a, **kw: maps.append(state.step) or mapping(*a, **kw))
@@ -1053,25 +1056,49 @@ class TestShardedTraining:
         for key, a in one.records().items():
             assert a.tobytes() == state.records()[key].tobytes(), key
 
+    def test_usable_cores_that_grow_mid_run_fork_fresh_workers(self, two_cores, usable_cores,
+                                                              tmp_path):
+        # a worker sees only the mappings made before its fork, and phase A of a step at
+        # three cores reads three gradient buffers
+        model, dataset, cfg = crit9_setup(1, checkpoint_every=1)
+        state = TR.train(model, dataset, cfg, checkpoint_dir=tmp_path)
+        old = [worker.pid for worker in model.arena.workers]
+        usable_cores(3)
+        cfg.total_steps = 2
+        TR.train(model, dataset, cfg, state=state)
+        assert len(model.arena.grads) == 3 and len(model.arena.workers) == 2
+        assert not set(old) & {worker.pid for worker in model.arena.workers}
+        for pid in old:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)  # stopped and reaped
+        fresh, _, cfg_fresh = crit9_setup(2)
+        resumed = TR.train(fresh, dataset, cfg_fresh, state=TR.restore_state(
+            fresh, TR.init_state(fresh, cfg_fresh), tmp_path / "step00000001.ckpt"))
+        assert two_cores == [4, 4] + [3, 3, 2] * 2
+        assert TR.metrics_to_csv(state.metrics[1:]) == TR.metrics_to_csv(resumed.metrics)
+        for key, a in resumed.records().items():
+            assert a.tobytes() == state.records()[key].tobytes(), key
+
     def test_one_shard_is_the_serial_step(self, shard_sizes, monkeypatch):
         # a batch whose shards would keep too few pixel tokens runs in one, with weight 1
-        monkeypatch.setattr(M, "_MIN_SHARD_PIXELS", 10**9)
+        monkeypatch.setattr(SH, "_MIN_SHARD_PIXELS", 10**9)
         model, dataset, cfg = crit9_setup(3)
         state = TR.train(model, dataset, cfg)
         assert shard_sizes == [8] * 3 and state.skipped_steps == 0
 
-    def test_desk_step_gradient_matches_the_serial_step(self, shard_sizes, monkeypatch):
+    def test_desk_step_gradient_matches_the_serial_step(self, shard_sizes, monkeypatch,
+                                                        usable_cores):
         sharded = desk_step_grads(monkeypatch)
         assert shard_sizes == [32, 32]
-        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0})
+        usable_cores(1)
         serial = desk_step_grads(monkeypatch)
         assert shard_sizes == [32, 32, 64] and sharded.keys() == serial.keys()
         worst = max(np.abs(sharded[k] - g).max() / np.abs(g).max() for k, g in serial.items())
         assert worst <= 1e-4
 
-    def test_gradients_sum_in_shard_order(self, two_cores, monkeypatch):
+    def test_gradients_sum_in_shard_order(self, two_cores, monkeypatch, usable_cores):
         # three shards, since a sum of two rounds the same either way round
-        monkeypatch.setattr(M.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        usable_cores(3)
         seen = spy_gradients(monkeypatch)
 
         def setup():
@@ -1088,13 +1115,14 @@ class TestShardedTraining:
         assert all(g.any() for g in seen.values())
         # the same step by hand, from the same start and the same draws
         model, dataset, cfg = setup()
+        SH.share(model, {})  # the arena each shard's backward writes
         idx = TR._epoch_permutation(cfg.seed, 0, len(dataset.labels))[:cfg.batch_size]
         rng = np.random.default_rng(np.random.PCG64(cfg.seed))
         batch = F.make_flow_batch(dataset.images[idx], rng, F.logit_normal_sampler())
         shards = []
         for a, b in ((0, 2), (2, 5), (5, 8)):
             TR._loss_shard(model, batch.rows(a, b), dataset.labels[idx][a:b], (b - a) / 8, 0)
-            shards.append({k: g.copy() for k, g in model.arena.views(model.shard_grads(1)[0]).items()})
+            shards.append({k: g.copy() for k, g in model.arena.views(model.arena.grads[0]).items()})
         for name, g in seen.items():
             want = (shards[0][name] + shards[1][name]) + shards[2][name]
             assert g.tobytes() == want.tobytes(), name
@@ -1102,8 +1130,8 @@ class TestShardedTraining:
     def test_a_step_waits_for_another_threads_shards(self, two_cores):
         # running serially instead would give the step other bits
         model, dataset, cfg = crit9_setup(1)
-        M._SHARD_LOCK.acquire()
-        release = threading.Timer(0.2, M._SHARD_LOCK.release)
+        SH._SHARD_LOCK.acquire()
+        release = threading.Timer(0.2, SH._SHARD_LOCK.release)
         release.start()
         try:
             state = TR.train(model, dataset, cfg)
@@ -1138,14 +1166,14 @@ class TestShardedTraining:
         def shard(model, batch, y, weight, shard, align=None):
             losses = real(model, batch, y, weight, shard, align)
             if os.getpid() != caller:
-                grads = model.arena.views(model.shard_grads(shard + 1)[shard])
+                grads = model.arena.views(model.arena.grads[shard])
                 grads["pixel_head.b"][0] = np.nan
                 grads["t_embed.fc2.b"][1] = np.inf
             return losses
 
         monkeypatch.setattr(TR, "_loss_shard", shard)
         model, dataset, cfg = crit9_setup(30)
-        before = model.arena.flat.copy()
+        before = SH.share(model, {}).flat.copy()
         with pytest.raises(NumericError, match="10 consecutive") as exc:
             TR.train(model, dataset, cfg)
         assert str(exc.value.__cause__) == "gradient of t_embed.fc2.b non-finite"
@@ -1160,7 +1188,7 @@ class TestShardedTraining:
         def shard(model, batch, y, weight, shard, align=None):
             losses = real(model, batch, y, weight, shard, align)
             if os.getpid() == caller:
-                grads = model.arena.views(model.shard_grads(shard + 1)[shard])
+                grads = model.arena.views(model.arena.grads[shard])
                 grads["pixel_head.b"][0] = np.nan
                 grads["cond_bias"][3] = -np.inf
             return losses
@@ -1180,9 +1208,9 @@ class TestShardedTraining:
     def test_an_alignment_request_carries_only_arrays_and_numbers(self, two_cores, monkeypatch):
         # the projector is the arena's, and the encoder is built where the shard runs
         parts = []
-        run = M.DualLevelModel.run_shards
-        monkeypatch.setattr(M.DualLevelModel, "run_shards", lambda self, fn, ps: (
-            fn is TR._loss_shard and parts.extend(ps)) or run(self, fn, ps))
+        run = SH.run
+        monkeypatch.setattr(SH, "run", lambda model, fn, ps: (
+            fn is TR._loss_shard and parts.extend(ps)) or run(model, fn, ps))
         model, dataset, cfg = crit9_setup(1, align_weight=0.5)
         state = TR.train(model, dataset, cfg)
         assert two_cores == [4, 4] and state.metrics[0]["loss_repa"] > 0.0
@@ -1204,8 +1232,8 @@ class TestShardedTraining:
         sharded = [run(0.0), run(0.5)]
         assert two_cores == [4, 4] * 8
         assert any(key.startswith("param.repa.") for key in sharded[1][1])
-        monkeypatch.setattr(M.DualLevelModel, "run_shards",
-                            lambda self, fn, parts: [fn(self, *part) for part in parts])
+        monkeypatch.setattr(SH, "run", lambda model, fn, ps: model.arena.grow(len(ps)) or [
+            fn(model, *part) for part in ps])
         assert [run(0.0), run(0.5)] == sharded
 
     def test_alignment_runs_shard_and_are_bitwise_reproducible(self, two_cores):
@@ -1232,9 +1260,9 @@ class TestShardedTraining:
         # the projector joins the arena the sampling worker was forked over
         model, dataset, cfg = crit9_setup(3, align_weight=0.5)
         S.sample(model, S.SamplerConfig(steps=2, seed=5), np.array([0, 1, 0, 1]))
-        [sampler] = model._shard_workers
+        [sampler] = model.arena.workers
         TR.train(model, dataset, cfg, metrics_path=tmp_path / "a.csv")
-        [worker] = model._shard_workers
+        [worker] = model.arena.workers
         assert worker.pid != sampler.pid
         with pytest.raises(ChildProcessError):
             os.waitpid(sampler.pid, os.WNOHANG)  # stopped and reaped
@@ -1243,23 +1271,23 @@ class TestShardedTraining:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_a_worker_cannot_write_the_arena(self):
-        if M._openblas_threads() is None:
+        if SH._openblas_threads() is None:
             pytest.skip("sharding needs OpenBLAS's thread-count setter")
         model, _, _ = crit9_setup(1)
-        before = model.arena.flat.tobytes()
+        before = SH.share(model, {}).flat.tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            model.run_shards(write_a_parameter, [(False,), (True,)])
+            SH.run(model, write_a_parameter, [(False,), (True,)])
         assert model.arena.flat.tobytes() == before
-        assert model.run_shards(write_a_parameter, [(False,), (False,)]) == [False] * 2
+        assert SH.run(model, write_a_parameter, [(False,), (False,)]) == [False] * 2
 
     def test_a_worker_cannot_write_the_optimizer_buffers(self):
-        if M._openblas_threads() is None:
+        if SH._openblas_threads() is None:
             pytest.skip("sharding needs OpenBLAS's thread-count setter")
         model, dataset, cfg = crit9_setup(1)
         state = TR.train(model, dataset, cfg)
         before = {key: a.copy() for key, a in state.records().items()}
         with pytest.raises(ValueError, match="read-only"):
-            model.run_shards(write_a_moment, [(False,), (True,)])
+            SH.run(model, write_a_moment, [(False,), (True,)])
         assert_unchanged(state, before)
 
     @pytest.mark.parametrize("in_worker", [True, False])
@@ -1275,12 +1303,13 @@ class TestShardedTraining:
         run(model, dataset, cfg, TR.init_state(model, cfg), "full")
         model, dataset, cfg = crit9_setup(6, checkpoint_every=2)
         state = TR.init_state(model, cfg)
-        fail_once(monkeypatch, "_step_span", tmp_path / "failed", in_worker, call=5)
+        fail_once(monkeypatch, TR, "_step_span", tmp_path / "failed", in_worker, call=5)
         with pytest.raises(RuntimeError, match="exited" if in_worker else "tail span failed"):
             run(model, dataset, cfg, state, "cut")
         assert state.torn and state.step == 4 and two_cores == [4, 4] * 11
         last = tmp_path / "cut" / "step00000004.ckpt"
-        assert model.arena.flat.tobytes() != TR.load_model(last, use_ema=False).arena.flat.tobytes()
+        loaded = TR.load_model(last, use_ema=False)
+        assert model.arena.flat.tobytes() != SH.share(loaded, {}).flat.tobytes()
         for refused in (lambda: TR.train(model, dataset, cfg, state=state),
                         lambda: TR.save_checkpoint(tmp_path / "torn.ckpt", model, state)):
             with pytest.raises(ConfigError, match="restore_state"):
@@ -1298,7 +1327,7 @@ class TestShardedTraining:
         full = TR.train(model_full, dataset, cfg)
         model, _, cfg = crit9_setup(4)
         state = TR.init_state(model, cfg)
-        fail_once(monkeypatch, "_sum_span", tmp_path / "failed", in_worker=True, call=3)
+        fail_once(monkeypatch, SH, "_sum_span", tmp_path / "failed", in_worker=True, call=3)
         with pytest.raises(RuntimeError, match="exited"):
             TR.train(model, dataset, cfg, state=state)
         assert state.step == 2 and not state.torn
@@ -1311,12 +1340,12 @@ class TestShardedTraining:
         # the worker forked over the first state's buffers must not step the second's
         model, dataset, cfg = crit9_setup(3)
         TR.train(model, dataset, cfg)
-        [worker] = model._shard_workers
+        [worker] = model.arena.workers
         start = model.arena.flat.copy()
         state = TR.train(model, dataset, cfg, state=TR.init_state(model, cfg))
-        assert model._shard_workers[0].pid != worker.pid
+        assert model.arena.workers[0].pid != worker.pid
         fresh, _, _ = crit9_setup(3)
-        fresh.arena.flat[...] = start
+        SH.share(fresh, {}).flat[...] = start
         want = TR.train(fresh, dataset, cfg, state=TR.init_state(fresh, cfg))
         assert two_cores == [4, 4] * 9
         assert TR.metrics_to_csv(state.metrics) == TR.metrics_to_csv(want.metrics)
@@ -1326,24 +1355,24 @@ class TestShardedTraining:
     def test_a_dead_worker_fails_one_step_and_is_replaced(self, two_cores):
         model, dataset, cfg = crit9_setup(1)
         state = TR.train(model, dataset, cfg)
-        [worker] = model._shard_workers
+        [worker] = model.arena.workers
         os.kill(worker.pid, signal.SIGKILL)
         cfg.total_steps = 3
         with pytest.raises(RuntimeError, match="exited"):
             TR.train(model, dataset, cfg, state=state)
-        assert state.step == 1 and model._shard_workers == []
+        assert state.step == 1 and model.arena.workers == []
         with pytest.raises(ChildProcessError):
             os.waitpid(worker.pid, os.WNOHANG)  # reaped
         TR.train(model, dataset, cfg, state=state)
         assert state.step == 3 and state.skipped_steps == 0
-        assert model._shard_workers[0].pid != worker.pid
+        assert model.arena.workers[0].pid != worker.pid
 
     def test_a_failed_step_is_redone_with_the_same_draws(self, two_cores):
         model_full, dataset, cfg = crit9_setup(3)
         full = TR.train(model_full, dataset, cfg)
         model, _, cfg = crit9_setup(1)
         state = TR.train(model, dataset, cfg)
-        os.kill(model._shard_workers[0].pid, signal.SIGKILL)
+        os.kill(model.arena.workers[0].pid, signal.SIGKILL)
         cfg.total_steps = 3
         with pytest.raises(RuntimeError, match="exited"):
             TR.train(model, dataset, cfg, state=state)
@@ -1356,14 +1385,14 @@ class TestShardedTraining:
         def no_workers(*args):
             raise AssertionError("forked a worker")
 
-        monkeypatch.setattr(M, "_ShardWorker", no_workers)
+        monkeypatch.setattr(SH, "_ShardWorker", no_workers)
         model, dataset, cfg = crit9_setup(2)
         with Tape():
             state = TR.train(model, dataset, cfg)
         assert two_cores == [8] * 2 and state.skipped_steps == 0
 
     def test_blas_threads_pinned_then_restored(self, two_cores, monkeypatch):
-        get_threads, set_threads = M._openblas_threads()
+        get_threads, set_threads = SH._openblas_threads()
         seen = []
         counted = M.DualLevelModel.forward
 
@@ -1379,7 +1408,7 @@ class TestShardedTraining:
             want = get_threads()
             state = TR.train(model, dataset, cfg)
             assert seen == [1] and get_threads() == want
-            os.kill(model._shard_workers[0].pid, signal.SIGKILL)
+            os.kill(model.arena.workers[0].pid, signal.SIGKILL)
             cfg.total_steps = 2
             with pytest.raises(RuntimeError, match="exited"):
                 TR.train(model, dataset, cfg, state=state)
