@@ -13,12 +13,15 @@ from dualdit.tensor import Tape, Tensor, grad_check
 
 x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
 with Tape() as tape:
-    y = (T.silu(x) * x).sum()
+    s = T.silu(x)
+    y = (s * x).sum()
 print(f"f(x) = sum(x * silu(x)) at x=[1,2,3]  ->  {y.item():.6f}")
 print(f"tape recorded {len(tape)} primitive applications")
 
 tape.backward(y)
 print("analytic gradient:", np.round(x.grad, 6))
+# the backward frees each intermediate's gradient once it has passed it: only leaves keep one
+print(f"after backward: x.grad (a leaf) holds {x.grad.size} values, silu(x).grad is {s.grad}")
 
 # --- the finite-difference oracle ------------------------------------------
 

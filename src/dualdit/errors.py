@@ -13,6 +13,10 @@ class InputError(ValueError):
     """A runtime input (class id, file payload, ...) is out of range."""
 
 
+class TapeError(RuntimeError):
+    """A tape is asked for a second backward, after its first released its records."""
+
+
 class NumericError(ArithmeticError):
     """A computation produced non-finite values; carries the solver step, if any."""
 

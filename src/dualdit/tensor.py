@@ -2,8 +2,8 @@
 
 Storage is a row-major numpy array (float32 or float64). Operations record
 themselves on the innermost active ``Tape``; ``Tape.backward`` replays the
-records in reverse and *accumulates* into ``.grad`` buffers, which the caller
-zeroes explicitly, or into arrays it hands over. Verification helpers
+records in reverse once and *accumulates* into leaves' ``.grad`` buffers,
+which the caller zeroes, or into arrays it hands over. Verification helpers
 (``grad_check``) compare analytic gradients against central differences.
 """
 
@@ -15,7 +15,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import NumericError, ShapeError, TapeError
 
 _TLS = threading.local()
 
@@ -140,11 +140,12 @@ class Tape:
     non-differentiable slots); a multi-output record holds a tuple of outputs
     and passes the list of their gradients (None where there is none).
     Records are appended in execution order, so every input of a record
-    precedes it; ``backward`` visits each record exactly once in reverse.
+    precedes it; ``backward`` visits each record once in reverse and frees it.
     """
 
     def __init__(self):
-        self.records: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
+        self.records: list[tuple[Tensor | tuple[Tensor, ...], tuple[Tensor, ...], Callable] | None] = []
+        self.spent = False
 
     def __enter__(self):
         _tape_stack().append(self)
@@ -160,8 +161,14 @@ class Tape:
 
     def backward(self, output: Tensor, seed: Optional[np.ndarray] = None,
                  into: Optional[dict[Tensor, np.ndarray]] = None):
-        """Accumulate d(output)/d(leaf) into .grad of every recorded tensor, or into the
-        array ``into`` maps it to: there the first contribution is copied, and none is zeros."""
+        """Accumulate d(output)/d(leaf) into .grad of every leaf, or into the array ``into``
+        maps it to: there the first contribution is copied, and none is zeros.
+
+        A leaf is a tensor no record of this tape produced. Each record and its outputs'
+        gradients are released as the pass leaves them; the spent tape keeps its length.
+        """
+        if self.spent:
+            raise TapeError("backward: the tape is spent; record the computation on a new tape")
         into = into or {}
         fresh = dict(into)  # the arrays that no contribution has reached yet
         if seed is None:
@@ -170,42 +177,51 @@ class Tape:
                     f"backward without a seed requires a scalar output, got shape {tuple(output.shape)}"
                 )
             seed = np.ones_like(output.data)
+        self.spent = True
         if output in fresh:
             np.copyto(fresh.pop(output), seed)
         output.accumulate_grad(np.asarray(seed, dtype=output.data.dtype))
-        for out, inputs, backward_fn in reversed(self.records):
-            multi = isinstance(out, tuple)
-            g = [o.grad for o in out] if multi else out.grad
-            handed = [gi for gi in (g if multi else [g]) if gi is not None]
-            if not handed:
-                continue
-            grads = backward_fn(g)
-            for inp, gi in zip(inputs, grads):
-                if gi is None or not inp.requires_grad:
-                    continue
-                if inp in fresh:
-                    np.copyto(fresh.pop(inp), gi)
-                elif inp in into:
-                    into[inp] += gi
-                elif inp.grad is None and _owned(gi, inp, handed):
-                    inp.grad = gi
-                else:
-                    inp.accumulate_grad(gi)
-                handed.append(gi)
+        records = self.records
+        for i in range(len(records) - 1, -1, -1):
+            out, inputs, backward_fn = records[i]
+            records[i] = None  # the closure goes with it, and the forward arrays it saved
+            outs = out if isinstance(out, tuple) else (out,)
+            g = [o.grad for o in outs]
+            for o in outs:
+                o.grad = None
+            if any(gi is not None for gi in g):
+                _hand_out(inputs, backward_fn(g if outs is out else g[0]), fresh, into)
         for buf in fresh.values():
             buf[...] = 0
 
 
-def _owned(gi: np.ndarray, inp: Tensor, handed: list) -> bool:
+def _hand_out(inputs: tuple, grads: tuple, fresh: dict, into: dict):
+    """Give each input of a record its gradient (None: none); what none adopts is freed on return."""
+    taken = []
+    for inp, gi in zip(inputs, grads):
+        if gi is None or not inp.requires_grad:
+            continue
+        if inp in fresh:
+            np.copyto(fresh.pop(inp), gi)
+        elif inp in into:
+            into[inp] += gi
+        elif inp.grad is None and _owned(gi, inp, taken):
+            inp.grad = gi
+        else:
+            inp.accumulate_grad(gi)
+        taken.append(gi)
+
+
+def _owned(gi: np.ndarray, inp: Tensor, taken: list) -> bool:
     """Whether a closure's gradient ``gi`` for ``inp`` can become ``inp.grad`` as is.
 
-    Only a buffer the closure allocated itself qualifies: a passthrough or
-    view of an incoming output gradient, or a buffer already handed to
-    another input of the same record (``handed`` holds both), would be
-    shared, and ``.grad`` is later updated in place.
+    A buffer the closure allocated qualifies, and so does a passthrough or
+    view of an output gradient, which ``backward`` has released by then. A
+    buffer that may share memory with another input's gradient of the same
+    record (``taken``) does not, since ``.grad`` is later updated in place.
     """
     return (gi.dtype == inp.data.dtype and gi.shape == inp.data.shape
-            and gi.flags.writeable and not any(np.may_share_memory(gi, h) for h in handed))
+            and gi.flags.writeable and not any(np.may_share_memory(gi, h) for h in taken))
 
 
 def _record(out, inputs: Sequence[Tensor], backward_fn: Callable):

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,10 +11,17 @@ from hypothesis import given, settings, strategies as st
 from dualdit import blocks as B
 from dualdit import flow as F
 from dualdit import model as M
+from dualdit import shards as SH
 from dualdit import tensor as T
-from dualdit.errors import ShapeError
+from dualdit import trainer as TR
+from dualdit.errors import ShapeError, TapeError
 from dualdit.tensor import Tape, Tensor, grad_check
 from dualdit.verification import TOLERANCE, primitive_checks
+
+
+# the criterion-8 desk model
+DESK = M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64, pixel_dim=8, heads=4,
+                     patch_size=4, num_classes=3, resolution=(16, 16), channels=3)
 
 
 def rand(shape, seed=0):
@@ -254,6 +262,23 @@ class TestTapeSemantics:
                     assert made_by[id(inp)] < i
         del z
 
+    def test_a_spent_tape_keeps_its_length_and_refuses_a_second_backward(self):
+        x, w = rand((3, 4), 11), Tensor(np.arange(12.0).reshape(3, 4))
+        with Tape() as tape:
+            out = (T.gelu_tanh(x) * w).sum()
+        assert len(tape) == 3
+        tape.backward(out)
+        assert len(tape) == 3  # what a profiler reads after the pass
+        first, before = x.grad, x.grad.copy()
+        with pytest.raises(TapeError, match="spent"):
+            tape.backward(out)
+        assert x.grad is first and x.grad.tobytes() == before.tobytes()
+        with Tape() as fresh:
+            out = (T.gelu_tanh(x) * w).sum()
+        fresh.backward(out)
+        assert x.grad is first  # the leaf's gradient survived, and took the new pass in place
+        assert x.grad.tobytes() == (2.0 * before).tobytes()
+
 
 def fd_grad(loss, x, step=1e-6):
     """Central differences of the scalar ``loss()`` with respect to ``x.data``."""
@@ -296,14 +321,14 @@ class TestGradOwnership:
             return outs[-1].sum()
 
         backward(loss)
-        total = outs[0]
+        assert outs[0].grad is None  # released: only leaves keep a gradient
+        assert not np.may_share_memory(a.grad, b.grad)  # one of them adopted the passthrough
         np.testing.assert_allclose(a.grad, fd_grad(loss, a), rtol=1e-7, atol=1e-9)
         np.testing.assert_allclose(b.grad, fd_grad(loss, b), rtol=1e-7, atol=1e-9)
-        b_grad, total_grad = b.grad.copy(), total.grad.copy()
+        b_grad = b.grad.copy()
         backward(lambda: (a * a).sum())  # accumulates into a.grad in place
         np.testing.assert_allclose(a.grad, 1.0 + 2.0 * a.data, rtol=1e-15)
         np.testing.assert_array_equal(b.grad, b_grad)
-        np.testing.assert_array_equal(total.grad, total_grad)
 
     def test_reshape_chain_into_leaf(self):
         x = rand((2, 6), 5)
@@ -312,14 +337,19 @@ class TestGradOwnership:
 
         def loss():
             mids.append(x.reshape(3, 4))
-            return (mids[-1].reshape(12).reshape(4, 3) * w).sum()
+            mids.append(mids[-1].reshape(12))
+            mids.append(mids[-1].reshape(4, 3))
+            mids.append(mids[-1] * w)
+            return mids[-1].sum()
 
         backward(loss)
+        assert all(t.grad is None for t in mids)
+        assert x.grad.shape == x.shape and not np.may_share_memory(x.grad, w.grad)
         np.testing.assert_allclose(x.grad, fd_grad(loss, x), rtol=1e-7, atol=1e-9)
-        mid_grad = mids[0].grad.copy()
-        backward(lambda: (x * x).sum())  # accumulates into x.grad in place
+        w_grad = w.grad.copy()
+        backward(lambda: (x * x).sum())  # accumulates into x.grad, the adopted view, in place
         np.testing.assert_allclose(x.grad, w.data.reshape(2, 6) + 2.0 * x.data, rtol=1e-15)
-        np.testing.assert_array_equal(mids[0].grad, mid_grad)
+        np.testing.assert_array_equal(w.grad, w_grad)
 
     def test_two_backward_passes_accumulate(self):
         x = rand((3, 4), 7)
@@ -441,7 +471,8 @@ class TestMultiOutputRecords:
 
     @pytest.mark.parametrize("passed", [0, 1])
     def test_output_gradient_is_never_adopted(self, passed):
-        # a closure that passes one output's gradient through as its input's
+        # a closure that passes one output's gradient through as its input's: the input
+        # adopts it only once the output has let go of it, so no two tensors share it
         x = rand((2, 3), 26)
         w = rand((2, 3), 27)
         outs = (Tensor(x.data.copy()), Tensor(x.data.copy()))
@@ -449,10 +480,12 @@ class TestMultiOutputRecords:
             T._record(outs, (x,), lambda gs: (gs[passed],))
             loss = (outs[0] * w + outs[1] * outs[1]).sum()
         tape.backward(loss)
-        assert not np.may_share_memory(x.grad, outs[passed].grad)
-        want = outs[passed].grad.copy()
-        x.grad += 1.0  # .grad is updated in place later; the output's must not move
-        np.testing.assert_array_equal(outs[passed].grad, want)
+        assert outs[0].grad is None and outs[1].grad is None
+        np.testing.assert_array_equal(x.grad, (w.data, 2.0 * outs[1].data)[passed])
+        assert not np.may_share_memory(x.grad, w.grad)
+        w_grad = w.grad.copy()
+        x.grad += 1.0  # .grad is updated in place later; the other leaf's must not move
+        np.testing.assert_array_equal(w.grad, w_grad)
 
 
 def composed_modulation(x, w, b, rows, groups):
@@ -539,15 +572,49 @@ class TestTapeSize:
     def test_desk_loss_step_records(self):
         # every primitive the loss of one criterion-8 train step records; a later
         # unfused op shows up here
-        cfg = M.ModelConfig(patch_depth=4, pixel_depth=2, patch_dim=64, pixel_dim=8, heads=4,
-                            patch_size=4, num_classes=3, resolution=(16, 16), channels=3)
-        model = M.DualLevelModel(cfg, seed=0)
+        model = M.DualLevelModel(DESK, seed=0)
         rng = np.random.default_rng(0)
         x0 = rng.uniform(-1.0, 1.0, size=(64, 3, 16, 16)).astype(np.float32)
         batch = F.make_flow_batch(x0, rng, F.logit_normal_sampler())
         with Tape() as tape:
             F.loss_diffusion(model, batch, rng.integers(0, 4, 64))
         assert len(tape) == 115
+
+
+class TestBackwardReleases:
+    """Tape.backward frees each record and each intermediate gradient once it has passed them."""
+
+    def test_a_desk_shard_backward_stays_near_its_forward(self, monkeypatch):
+        model = M.DualLevelModel(DESK, seed=11)
+        rng = np.random.default_rng(12)
+        batch = F.make_flow_batch(rng.uniform(-1.0, 1.0, (32, 3, 16, 16)).astype(np.float32), rng)
+        y = np.arange(32) % 3
+        arena = SH.share(model, {})
+        TR._loss_shard(model, batch, y, 1.0, 0)  # warm-up
+        into = dict(zip(arena.params.values(), arena.views(arena.grads[0]).values()))
+        copies = []  # first contributions that accumulate_grad copies
+        accumulate = Tensor.accumulate_grad
+
+        def counting(t, g):
+            copies.append(t.grad is None)
+            accumulate(t, g)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", counting)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                loss = F.loss_diffusion(model, batch, y)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss, seed=1.0, into=into)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # keeping every record and gradient to the end peaked at 1.79x, and held all of it
+        assert held > 20e6 and peak - base < 1.2 * held
+        assert after - base < 1e6 and len(tape) == 115
+        assert sum(copies) <= 2  # the seed, and one gradient that two inputs share
 
 
 class TestPrimitiveRegistry:
