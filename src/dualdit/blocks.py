@@ -162,8 +162,8 @@ def make_mlp_params(store: ParamStore, name: str, width: int) -> MlpParams:
 
 
 def mlp(x: Tensor, params: MlpParams) -> Tensor:
-    """linear -> GELU (tanh approximation) -> linear."""
-    return linear(T.gelu_tanh(linear(x, params.fc1)), params.fc2)
+    """linear -> GELU (tanh approximation) -> linear, one ``T.mlp`` record."""
+    return T.mlp(x, params.fc1.w, params.fc1.b, params.fc2.w, params.fc2.b)
 
 
 @dataclass

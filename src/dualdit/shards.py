@@ -9,7 +9,10 @@ cores, as they do on the BLAS build; with one shard a step is the serial one.
 
 The arena (``Arena``) is a set of shared mappings: every trained tensor
 (the alignment projector's too, when the term is on) and, in the same
-layout, every other buffer of a train step. ``share`` builds a model a new
+layout, the shards' gradients, AdamW's moments and the EMA. The tail's
+scratch is each process's own, taken per block from the heap that
+``keep_heap`` keeps, where a shard's freed activations already hold the
+pages. ``share`` builds a model a new
 one; ``run`` builds one on the first sharded call of a model that has none
 (``trainer.load_model`` builds none, so loading stays cheap). A worker sees
 only the mappings made before its fork, so the workers belong to the arena
@@ -229,7 +232,7 @@ class _ShardWorker:
         # a shard that wrote a parameter or an optimizer buffer would change it
         # under every process
         arena = model.arena
-        for buf in (arena.flat, arena.m, arena.v, arena.ema, arena.sq, arena.tmp):
+        for buf in (arena.flat, arena.m, arena.v, arena.ema):
             buf.flags.writeable = False
         for t in arena.params.values():
             t.data.flags.writeable = False
@@ -269,16 +272,16 @@ def _stop_worker(conn, pid: int):
 
 
 class Arena:
-    """Every buffer of a train step, each laid out like ``flat``, which packs the tensors.
+    """The shared buffers of a train step, each laid out like ``flat``, which packs the tensors.
 
     Each tensor's ``data`` is a view of its part of ``flat``. ``grads``
     holds shard i's gradients in buffer i (one to start with; see
-    ``grow``), ``m`` and ``v`` AdamW's moments, ``ema`` the tensors' moving
-    average, and ``tmp`` and ``sq`` (float64) the optimizer's scratch. One
-    numpy call does elementwise work over all the tensors, and ``views``
-    gives each tensor's part. Each part starts on a 64-byte boundary: packed
-    end to end, a desk forward at B=32 ran 3% slower, its SIMD loads split
-    across cache lines. The gaps hold zeros, which the optimizer keeps zero.
+    ``grow``), ``m`` and ``v`` AdamW's moments and ``ema`` the tensors'
+    moving average; the optimizer's scratch is not shared. One numpy call
+    does elementwise work over all the tensors, and ``views`` gives each
+    tensor's part. Each part starts on a 64-byte boundary: packed end to
+    end, a desk forward at B=32 ran 3% slower, its SIMD loads split across
+    cache lines. The gaps hold zeros, which the optimizer keeps zero.
     ``workers``, forked over these buffers, run the shards of ``run`` after
     the first; a worker exits when its arena stops it or is collected.
     """
@@ -295,20 +298,18 @@ class Arena:
             view[...] = t.data
             t.data = view
         self.grads = [self.like()]
-        self.m, self.v, self.ema, self.tmp = (self.like() for _ in range(4))
-        self.sq = self.like(np.float64)
+        self.m, self.v, self.ema = (self.like() for _ in range(3))
         self.workers: list[_ShardWorker] = []
 
-    def like(self, dtype=None) -> np.ndarray:
-        """A zeroed buffer of this layout, of the tensors' dtype unless given.
+    def like(self) -> np.ndarray:
+        """A zeroed buffer of this layout, of the tensors' dtype.
 
         It is an anonymous shared mapping of its own: the processes forked
         after it is made read and write it in common. It stays out of the
         malloc heap, and its pages cost nothing until touched.
         """
-        dtype = np.dtype(dtype or self.dtype)
-        mapping = mmap.mmap(-1, max(self._size * dtype.itemsize, 1), flags=mmap.MAP_SHARED)
-        return np.frombuffer(mapping, dtype, self._size)
+        mapping = mmap.mmap(-1, max(self._size * self.dtype.itemsize, 1), flags=mmap.MAP_SHARED)
+        return np.frombuffer(mapping, self.dtype, self._size)
 
     def views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each tensor's part of ``flat``, by name, in the tensor's shape."""
@@ -333,7 +334,8 @@ class Arena:
 
 # Elements a block of the optimizer tail holds at least. A block's slices of
 # the buffers that phase B passes over (gradient, parameters, both moments,
-# EMA, scratch: 768 KB at 32K float32 elements) stay in a core's 2 MB L2
+# EMA, and the block's own scratch: 768 KB at 32K float32 elements; phase A's
+# float64 squares take 256 KB beside the gradient) stay in a core's 2 MB L2
 # through its 17 passes; whole buffers would go out to memory on each, and
 # smaller blocks pay more numpy calls. Desk train step on a 2-core Xeon,
 # median ms from the end of the loss shards to the end of the step, 2 cores
@@ -390,8 +392,8 @@ def sum_squares(arena: Arena, shards: int, blocks: list[Block]) -> list[float]:
         g = writable(arena.grads[0], span)
         for other in arena.grads[1:shards]:
             np.add(g, other[span], out=g)
-        np.square(g, out=writable(arena.sq, span), dtype=np.float64)
-        sums += [float(arena.sq[part].sum()) for part in parts]
+        sq = np.square(g, dtype=np.float64)
+        sums += [float(sq[part.start - span.start:part.stop - span.start].sum()) for part in parts]
     return sums
 
 

@@ -5,6 +5,11 @@ themselves on the innermost active ``Tape``; ``Tape.backward`` replays the
 records in reverse once and *accumulates* into leaves' ``.grad`` buffers,
 which the caller zeroes, or into arrays it hands over. Verification helpers
 (``grad_check``) compare analytic gradients against central differences.
+
+A record keeps an array only if its backward reads it and recomputing it
+from what the record already holds would take more than one elementwise
+pass: ``mlp`` keeps its pre-activation and gate, not their product, and
+``modulated_rms_norm`` its inverse scale, not the normalized input.
 """
 
 from __future__ import annotations
@@ -164,12 +169,21 @@ class Tape:
         """Accumulate d(output)/d(leaf) into .grad of every leaf, or into the array ``into``
         maps it to: there the first contribution is copied, and none is zeros.
 
-        A leaf is a tensor no record of this tape produced. Each record and its outputs'
-        gradients are released as the pass leaves them; the spent tape keeps its length.
+        A leaf is a tensor no record of this tape produced; ``into`` maps leaves only. Each
+        record and its outputs' gradients are released as the pass leaves them; the spent tape
+        keeps its length.
         """
         if self.spent:
             raise TapeError("backward: the tape is spent; record the computation on a new tape")
         into = into or {}
+        if into:
+            for out, _, _ in self.records:
+                for o in out if isinstance(out, tuple) else (out,):
+                    if o in into:
+                        raise TapeError(
+                            f"backward: into holds a tensor of shape {tuple(o.shape)} that a record "
+                            "of this tape produced; only leaves take their gradient into a buffer"
+                        )
         fresh = dict(into)  # the arrays that no contribution has reached yet
         if seed is None:
             if output.size != 1:
@@ -381,39 +395,6 @@ def silu(a: Tensor) -> Tensor:
     return _record(out, (a,), bw)
 
 
-_GELU_C = math.sqrt(2.0 / math.pi)
-_GELU_A = 0.044715
-
-
-def gelu_tanh(a: Tensor) -> Tensor:
-    """Tanh-approximated GELU: 0.5 x (1 + tanh(c (x + a x^3)))."""
-    x = a.data
-    u = x * x
-    u *= _GELU_A
-    u += 1.0
-    u *= x
-    u *= _GELU_C
-    np.tanh(u, out=u)
-    u += 1.0
-    u *= 0.5  # u = (1 + tanh) / 2
-    out = Tensor(u * x)
-
-    def bw(g):
-        # d/dx = u + x (1 - tanh^2) c (1 + 3 a x^2) / 2, and (1 - tanh^2) / 2 = 2 u (1 - u)
-        w = x * x
-        w *= 6.0 * _GELU_A * _GELU_C
-        w += 2.0 * _GELU_C
-        w *= x
-        d = 1.0 - u
-        d *= u
-        d *= w
-        d += u
-        d *= g
-        return (d,)
-
-    return _record(out, (a,), bw)
-
-
 # ---------------------------------------------------------------------------
 # contractions, reductions, shape ops
 # ---------------------------------------------------------------------------
@@ -472,6 +453,16 @@ _BIAS_ROW_MIN = 64
 _BIAS_ROWS = 16
 
 
+def _add_bias(y: np.ndarray, b: np.ndarray):
+    """y += b over the rows of a GEMM's contiguous 2-D output y; a short row ``_BIAS_ROWS`` at a time."""
+    d_out = y.shape[1]
+    if d_out < _BIAS_ROW_MIN and y.shape[0] % _BIAS_ROWS == 0:
+        wide = y.reshape(-1, _BIAS_ROWS * d_out)  # a view, since y is contiguous
+        wide += np.tile(b, _BIAS_ROWS)
+    else:
+        y += b
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of x: one 2-D GEMM over all leading axes.
 
@@ -484,11 +475,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     d_in, d_out = w.shape
     x2 = x.data.reshape(-1, d_in)
     y = _forward_gemm(x2, w.data)
-    if d_out < _BIAS_ROW_MIN and y.shape[0] % _BIAS_ROWS == 0:
-        wide = y.reshape(-1, _BIAS_ROWS * d_out)  # a view: the GEMM's output is contiguous
-        wide += np.tile(b.data, _BIAS_ROWS)
-    else:
-        y += b.data
+    _add_bias(y, b.data)
     out = Tensor(y.reshape(x.shape[:-1] + (d_out,)))
 
     def bw(g):
@@ -499,6 +486,72 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, gw, gb
 
     return _record(out, (x, w, b), bw)
+
+
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_A = 0.044715
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """GELU(x @ w1 + b1) @ w2 + b2 over the last axis of x, GELU the tanh approximation.
+
+    With h = x @ w1 + b1, GELU(h) = u h for the gate u = (1 + tanh(c (h + a h^3))) / 2.
+    One record keeps x, h and u; the activation u h is freed once the second
+    GEMM has read it, and recomputed, in one pass, for w2's gradient. With
+    no tape active the gate is turned into the activation in place. Each
+    GEMM adds its bias as ``linear`` does.
+    """
+    if (w1.ndim != 2 or w2.ndim != 2 or x.shape[-1] != w1.shape[0] or b1.shape != w1.shape[1:]
+            or w2.shape[0] != w1.shape[1] or b2.shape != w2.shape[1:]):
+        raise ShapeError(
+            f"mlp: input {tuple(x.shape)}, weights {tuple(w1.shape)} and {tuple(w2.shape)}, "
+            f"biases {tuple(b1.shape)} and {tuple(b2.shape)} disagree"
+        )
+    d_in, d_out = w1.shape[0], w2.shape[1]
+    x2 = x.data.reshape(-1, d_in)
+    h = _forward_gemm(x2, w1.data)
+    _add_bias(h, b1.data)
+    u = h * h
+    u *= _GELU_A
+    u += 1.0
+    u *= h
+    u *= _GELU_C
+    np.tanh(u, out=u)
+    u += 1.0
+    u *= 0.5
+    if active_tape() is None:
+        # no record will keep h and u: the gate becomes the activation, and h goes first
+        u *= h
+        del h
+        y = _forward_gemm(u, w2.data)
+    else:
+        y = _forward_gemm(u * h, w2.data)
+    _add_bias(y, b2.data)
+    out = Tensor(y.reshape(x.shape[:-1] + (d_out,)))
+
+    def bw(g):
+        g2 = g.reshape(-1, d_out)
+        gw2 = (u * h).T @ g2 if w2.requires_grad else None
+        gb2 = g2.sum(axis=0) if b2.requires_grad else None
+        gx = gw1 = gb1 = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            # d GELU/dh = u + h (1 - tanh^2) c (1 + 3 a h^2) / 2, and (1 - tanh^2) / 2 = 2 u (1 - u)
+            w = h * h
+            w *= 6.0 * _GELU_A * _GELU_C
+            w += 2.0 * _GELU_C
+            w *= h
+            gh = 1.0 - u
+            gh *= u
+            gh *= w
+            del w
+            gh += u
+            gh *= g2 @ w2.data.T
+            gx = (gh @ w1.data.T).reshape(x.data.shape) if x.requires_grad else None
+            gw1 = x2.T @ gh if w1.requires_grad else None
+            gb1 = gh.sum(axis=0) if b1.requires_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _record(out, (x, w1, b1, w2, b2), bw)
 
 
 def modulation(x: Tensor, w: Tensor, b: Tensor, rows: int, groups: int) -> tuple[Tensor, ...]:
@@ -698,19 +751,22 @@ def modulated_rms_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """AdaLN: gamma * x / sqrt(mean(x^2, last) + eps) + beta.
 
     ``gamma`` and ``beta`` broadcast onto ``x`` (one row per batch element,
-    patch or pixel).
+    patch or pixel). The record keeps the inverse scale; the backward
+    recomputes the normalized x from it.
     """
     _check_onto(gamma, x.shape, "modulated_rms_norm")
     _check_onto(beta, x.shape, "modulated_rms_norm")
     d = x.data.shape[-1]
     inv = 1.0 / np.sqrt(_rowdot(x.data, x.data) / d + RMS_EPS)
-    normed = x.data * inv
-    y = normed * gamma.data
+    y = x.data * inv
+    y *= gamma.data
     y += beta.data
     out = Tensor(y)
 
     def bw(g):
         gx = ggamma = gbeta = None
+        if x.requires_grad or gamma.requires_grad:
+            normed = x.data * inv
         if x.requires_grad:
             gx = g * gamma.data
             gx -= normed * (_rowdot(gx, normed) / d)

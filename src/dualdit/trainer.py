@@ -178,8 +178,9 @@ def step_blocks(arena: shards.Arena, blocks: list[shards.Block], scale: Optional
                 step: int, lr: float, cfg: TrainConfig):
     """Phase B of the tail over ``blocks``: clip by ``scale``, then AdamW and the EMA, in place."""
     for span, _ in blocks:
-        p, g, m, v, ema, tmp = (shards.writable(buf, span) for buf in (
-            arena.flat, arena.grads[0], arena.m, arena.v, arena.ema, arena.tmp))
+        p, g, m, v, ema = (shards.writable(buf, span) for buf in (
+            arena.flat, arena.grads[0], arena.m, arena.v, arena.ema))
+        tmp = np.empty_like(g)
         if scale is not None:
             np.multiply(g, scale, out=g)
         adamw_step(p, g, m, v, tmp, step, lr, cfg.betas, cfg.weight_decay, cfg.adam_eps)

@@ -79,7 +79,6 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
         ("div", check(lambda x: (T.div(x, Tensor(np.full((4, 3), 2.0))) * w43).sum())),
         ("sqrt", check(lambda x: (T.tsqrt(x * x + Tensor(np.ones((4, 3)))) * w43).sum())),
         ("silu", check(lambda x: (T.silu(x) * w43).sum())),
-        ("gelu_tanh", check(lambda x: (T.gelu_tanh(x) * w43).sum())),
         ("matmul", check(lambda x: (T.matmul(x, w34) * Tensor(np.ones((4, 4)))).sum())),
         ("reshape", check(lambda x: (x.reshape(2, 6) * w26).sum())),
         ("transpose", check(lambda x: (x.transpose(1, 0) * w34).sum())),
@@ -88,6 +87,8 @@ def primitive_checks() -> list[tuple[str, Callable[[], float]]]:
         ("mean", check(lambda x: x.mean())),
         ("linear", check_each(lambda x, w, b: (T.linear(x, w, b) * w235).sum(),
                               [(2, 3, 4), (4, 5), (5,)], seed=4)),
+        ("mlp", check_each(lambda x, w1, b1, w2, b2: (T.mlp(x, w1, b1, w2, b2) * w235).sum(),
+                           [(2, 3, 4), (4, 6), (6,), (6, 5), (5,)], seed=22)),
         ("modulation", modulation_check),
         ("modulated_rms_norm", check_each(
             lambda x, gamma, beta: (T.modulated_rms_norm(x, gamma, beta) * w234).sum(),
