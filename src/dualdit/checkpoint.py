@@ -145,54 +145,59 @@ def load(path) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
         return parse(f.read())
 
 
+_VERSION_HDR_LEN = struct.Struct("<II")
+_COUNT = struct.Struct("<I")
+_NAME_LEN = struct.Struct("<H")
+
+
 def parse(blob: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
     """The header and the records of the checkpoint file whose bytes are ``blob``.
 
-    Each record is a view of ``blob``: nothing is copied, and a caller copies
+    Each field is read at its offset once its bounds are checked. Each record
+    is a read-only view of ``blob``: nothing is copied, and a caller copies
     the records it keeps.
     """
     off = 0
-    view = memoryview(blob)
 
-    def take(n, what):
+    def field(n, what):
+        """The offset of the next ``n`` bytes, which must lie within ``blob``."""
         nonlocal off
         if off + n > len(blob):
             raise ParseError(f"checkpoint truncated while reading {what}", offset=off)
-        chunk = view[off:off + n]
         off += n
-        return chunk
+        return off - n
 
-    if take(8, "magic") != MAGIC:
+    if blob[field(8, "magic"):off] != MAGIC:
         raise ParseError("not a checkpoint file (bad magic)", offset=0)
-    version, hdr_len = struct.unpack("<II", take(8, "version/header length"))
+    version, hdr_len = _VERSION_HDR_LEN.unpack_from(blob, field(8, "version/header length"))
     if version != FORMAT_VERSION:
         raise ParseError(f"unsupported checkpoint version {version}", offset=8)
     try:
-        header = json.loads(str(take(hdr_len, "header"), "utf-8"))
+        header = json.loads(str(blob[field(hdr_len, "header"):off], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise ParseError(f"bad header JSON: {e}", offset=16) from None
     if not isinstance(header, dict):
         raise ParseError(f"header is a JSON {type(header).__name__}, not an object", offset=16)
-    (count,) = struct.unpack("<I", take(4, "record count"))
+    (count,) = _COUNT.unpack_from(blob, field(4, "record count"))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name_at = off
+        (name_len,) = _NAME_LEN.unpack_from(blob, field(2, "name length"))
+        name_at = field(name_len, "name")
         try:
-            name = str(take(name_len, "name"), "utf-8")
+            name = str(blob[name_at:off], "utf-8")
         except UnicodeDecodeError:
             raise ParseError("record name is not UTF-8", offset=name_at) from None
         if name in arrays:
             raise ParseError(f"record {name!r} appears twice", offset=name_at)
-        (ndim,) = struct.unpack("<B", take(1, "ndim"))
-        dims_at = off
-        dims = struct.unpack(f"<{ndim}I", take(4 * ndim, "dims"))
+        ndim = blob[field(1, "ndim")]
+        dims_at = field(4 * ndim, "dims")
+        dims = struct.unpack_from(f"<{ndim}I", blob, dims_at)
         n = math.prod(dims)  # Python ints, so a huge record fails the size check instead of wrapping
-        data = np.frombuffer(take(4 * n, f"data of {name}"), dtype="<f4")
+        data_at = field(4 * n, f"data of {name}")
         # a zero dim leaves no data to read, yet numpy refuses a shape whose other dims overflow
         if n == 0 and 4 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
             raise ParseError(f"record {name!r} has dims {dims}, too large for any array", offset=dims_at)
-        arrays[name] = data.reshape(dims)
+        arrays[name] = np.frombuffer(blob, "<f4", n, data_at).reshape(dims)
     if off != len(blob):
         raise ParseError(f"{len(blob) - off} trailing bytes after last record", offset=off)
     return header, arrays

@@ -3,10 +3,15 @@
 Each dataset kind maps a class id deterministically to generative parameters:
 solid_color picks a palette color, gaussian_blob places a bump, and
 checkerboard_freq selects a spatial frequency. Pixel values live in [-1, 1].
+The additive noise of a batch is one stream from its generator in row order,
+so the images and the generator's final state do not depend on how many rows
+are drawn at a time.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +41,24 @@ class ToyDatasetSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ConfigError(f"unknown dataset kind {self.kind!r}; choose from {KINDS}")
-        if self.num_classes < 1 or self.samples_per_class < 1:
-            raise ConfigError("need at least one class and one sample per class")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be >= 0")
+
+        def count(v):
+            return isinstance(v, numbers.Integral) and v >= 1
+
+        # comparisons, so that NaN fails every one
+        ranges = {
+            "num_classes": (count(self.num_classes), "a whole number >= 1"),
+            "resolution": (np.shape(self.resolution) == (2,)
+                           and all(map(count, self.resolution)), "two whole numbers >= 1"),
+            "samples_per_class": (count(self.samples_per_class), "a whole number >= 1"),
+            "noise_std": (0 <= self.noise_std < math.inf, "finite and >= 0"),
+            "seed": (isinstance(self.seed, numbers.Integral) and self.seed >= 0,
+                     "a whole number >= 0"),
+            "channels": (count(self.channels), "a whole number >= 1"),
+        }
+        for name, (ok, allowed) in ranges.items():
+            if not ok:
+                raise ConfigError(f"{name} must be {allowed}, got {getattr(self, name)!r}")
 
 
 def class_color(k: int, channels: int = 3) -> np.ndarray:
@@ -74,18 +93,36 @@ def _clean_image(spec: ToyDatasetSpec, k: int) -> np.ndarray:
     return np.broadcast_to(np.where(parity == 0, 0.7, -0.7), (C, H, W)).copy()
 
 
+# Rows that generate_toy_batch draws, clips and converts in one pass. Its
+# float64 temporaries (the gathered clean images and the noise) are each one
+# chunk, 0.8 MB at 3x16x16, whatever the dataset's size or class count, so
+# they stay in a core's 2 MB L2 and set-up's peak memory does not grow with
+# the dataset. Desk dataset (768 samples, 3x16x16, noise 0.1) on a 2-core
+# Xeon, median ms of 40 interleaved builds: 32 rows 13.5, 64 13.4, 128 12.8,
+# 256 14.1, all 768 in one chunk 15.7 (the per-sample loop: 22-28).
+_CHUNK_ROWS = 128
+
+
 def generate_toy_batch(spec: ToyDatasetSpec, class_ids, rng: np.random.Generator) -> np.ndarray:
-    """Images in [-1, 1] for the given class ids; deterministic for a given rng state."""
+    """Images in [-1, 1] for the given class ids; deterministic for a given rng state.
+
+    The noise is one stream in row order: ``Generator.normal`` fills its output
+    row-major, so a chunk of rows draws exactly what one (C, H, W) draw per row
+    would. The images and the generator's final state do not depend on the
+    chunking.
+    """
     class_ids = np.asarray(class_ids, dtype=np.int64)
     if np.any(class_ids < 0) or np.any(class_ids >= spec.num_classes):
         raise InputError(f"class ids must lie in [0, {spec.num_classes}), got {class_ids}")
     H, W = spec.resolution
     out = np.empty((len(class_ids), spec.channels, H, W), dtype=np.float32)
-    for i, k in enumerate(class_ids):
-        img = _clean_image(spec, int(k))
+    for start in range(0, len(class_ids), _CHUNK_ROWS):
+        ids = class_ids[start:start + _CHUNK_ROWS]
+        present, row_class = np.unique(ids, return_inverse=True)
+        img = np.stack([_clean_image(spec, int(k)) for k in present])[row_class]
         if spec.noise_std > 0:
-            img = img + rng.normal(scale=spec.noise_std, size=img.shape)
-        out[i] = np.clip(img, -1.0, 1.0)
+            img += rng.normal(scale=spec.noise_std, size=img.shape)
+        out[start:start + len(ids)] = np.clip(img, -1.0, 1.0, out=img)
     return out
 
 

@@ -69,6 +69,47 @@ class TestToyData:
         with pytest.raises(ConfigError):
             D.ToyDatasetSpec(kind="mandelbrot")
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_std", float("nan")), ("noise_std", -0.1), ("noise_std", float("inf")),
+        ("seed", -1), ("seed", 0.5), ("channels", -1), ("channels", 0),
+        ("channels", 1.5), ("resolution", (-4, 16)), ("resolution", (0, 16)),
+        ("resolution", (16,)), ("resolution", (16, 2.5)), ("num_classes", 0),
+        ("samples_per_class", 0), ("samples_per_class", 2.5),
+    ])
+    def test_spec_it_cannot_build_is_refused(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} "):
+            D.ToyDatasetSpec(**{field: value})
+
+    @staticmethod
+    def per_sample_reference(spec, class_ids, rng):
+        """One clean image and one (C, H, W) noise draw per id, in id order."""
+        H, W = spec.resolution
+        out = np.empty((len(class_ids), spec.channels, H, W), dtype=np.float32)
+        for i, k in enumerate(class_ids):
+            img = D._clean_image(spec, int(k))
+            if spec.noise_std > 0:
+                img = img + rng.normal(scale=spec.noise_std, size=img.shape)
+            out[i] = np.clip(img, -1.0, 1.0)
+        return out
+
+    @pytest.mark.parametrize("kind", D.KINDS)
+    @pytest.mark.parametrize("noise_std", [0.0, 0.4])
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("ids", [
+        [], [2, 0, 2, 3, 1, 0],
+        np.random.default_rng(8).integers(0, 4, size=300),  # not a whole number of chunks
+    ], ids=["empty", "short", "long"])
+    def test_batch_equals_the_per_sample_loop(self, kind, noise_std, channels, ids):
+        # the noise is one stream in row order, so chunking changes no byte
+        spec = D.ToyDatasetSpec(kind=kind, num_classes=4, resolution=(6, 5),
+                                noise_std=noise_std, channels=channels)
+        rng, ref_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = D.generate_toy_batch(spec, ids, rng)
+        want = self.per_sample_reference(spec, ids, ref_rng)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class TestNetpbm:
     def test_white_pixel_roundtrip(self, tmp_path):

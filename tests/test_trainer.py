@@ -719,6 +719,28 @@ class TestCheckpointFormat:
             C.load(path)
         assert exc.value.offset == at
 
+    def test_every_truncation_names_the_field_at_its_start(self):
+        # built by hand, since save stores a 0-d array as shape (1,): the scalar "s" has no dims
+        hdr = b'{"step":3}'
+        blob = C.MAGIC + struct.pack("<II", C.FORMAT_VERSION, len(hdr)) + hdr + struct.pack("<I", 3)
+        for name, arr in (("a", np.arange(6, dtype="<f4").reshape(2, 3)),
+                          ("b", np.zeros(2, "<f4")), ("s", np.array(1.5, "<f4"))):
+            blob += struct.pack(f"<H1sB{arr.ndim}I", 1, name.encode(), arr.ndim, *arr.shape)
+            blob += arr.tobytes()
+        fields = [("magic", 0), ("version/header length", 8), ("header", 16), ("record count", 26),
+                  ("name length", 30), ("name", 32), ("ndim", 33), ("dims", 34), ("data of a", 42),
+                  ("name length", 66), ("name", 68), ("ndim", 69), ("dims", 70), ("data of b", 74),
+                  ("name length", 82), ("name", 84), ("ndim", 85), ("data of s", 86)]
+        ends = [at for _, at in fields[1:]] + [len(blob)]
+        for (what, at), end in zip(fields, ends):
+            for cut in range(at, end):
+                with pytest.raises(ParseError) as exc:
+                    C.parse(blob[:cut])
+                assert str(exc.value) == f"checkpoint truncated while reading {what} (byte offset {at})"
+                assert exc.value.offset == at
+        header, arrays = C.parse(blob)
+        assert header == {"step": 3} and arrays["s"].shape == () and arrays["s"] == 1.5
+
 
 def fresh_process(*script: str) -> subprocess.CompletedProcess:
     """The parts of ``script`` run in a fresh Python process that imports this dualdit."""
